@@ -448,8 +448,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="CUDA streams per device: 2 pipelines uploads/kernels/"
-        "fetches (depth 2); 1 restores the legacy serial scheduler "
-        "byte-for-byte",
+        "fetches (depth 2); 1 runs the same pipeline on one stream at "
+        "depth 1, the host blocking on each upload (byte-identical to "
+        "the serial scheduler on fault-free runs; hang-run latencies "
+        "move by float association)",
     )
     p.add_argument(
         "--backend",
@@ -590,6 +592,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: ``(flag, requirement, check)`` rules applied to the parsed flag
+#: values before any run, so bad input is a usage error naming the flag.
+_FLAG_RULES = (
+    ("--clients", "at least 1", lambda v: v >= 1),
+    ("--rate", "positive", lambda v: v > 0),
+    ("--agents", "at least 1", lambda v: v >= 1),
+    ("--max-batch", "at least 1", lambda v: v >= 1),
+    ("--window-ms", "non-negative", lambda v: v >= 0),
+    ("--queue-capacity", "at least 1", lambda v: v >= 1),
+    ("--streams", "at least 1", lambda v: v >= 1),
+    ("--chaos-rate", "within [0, 1]", lambda v: 0 <= v <= 1),
+)
+
+
 def _config(args: argparse.Namespace, batching: bool) -> ServeConfig:
     """Build a ServeConfig from parsed CLI arguments."""
     return ServeConfig(
@@ -620,6 +636,10 @@ def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, requirement, check in _FLAG_RULES:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not check(value):
+            parser.error(f"{flag} must be {requirement}, got {value}")
     try:
         # Validate up front for a clear CLI error naming the valid kinds
         # (instead of a KeyError deep inside device construction).

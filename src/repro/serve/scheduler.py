@@ -27,16 +27,21 @@ Transfers are attributed in the ledger as the batching data path:
 the fused result fetch (each then sliced per request by
 ``Vector.split_at``).
 
-With ``streams >= 2`` (the default via :class:`ServeConfig`) each device
-gets a *copy* stream and a *compute* stream on its timeline, and the
-scheduler stops serializing on ``device_busy_until``: the cold-state
-upload rides the copy engine (``cudaMemcpyAsync`` semantics) with the
-kernels gated on it by an event (``stream-wait`` in the ledger), the
-kernels queue on the compute stream, and the result fetch is a deferred
-async d2h on the copy stream.  Each device then pipelines up to two
-sub-batches (depth 2): the next batch's upload and kernel queueing
-overlap the previous batch's tail instead of waiting for the device to
-go idle.  ``streams=1`` keeps the legacy null-stream path byte-for-byte.
+Each device runs one pipeline on its timeline's stream API.  With
+``streams >= 2`` (the default via :class:`ServeConfig`) it gets a *copy*
+stream and a *compute* stream: the cold-state upload rides the copy
+engine (``cudaMemcpyAsync`` semantics) with the kernels gated on it by
+an event (``stream-wait`` in the ledger), the kernels queue on the
+compute stream, and the result fetch is a deferred async d2h on the
+copy stream.  Each device then pipelines up to two sub-batches
+(depth 2): the next batch's upload and kernel queueing overlap the
+previous batch's tail instead of waiting for the device to go idle.
+``streams=1`` is the same pipeline at depth 1 on one stream that
+carries copies and kernels alike; the host blocks on the upload, as on
+a synchronous ``cudaMemcpy``.  Fault-free runs are byte-identical to
+the old null-stream scheduler; under injected hangs the watchdog
+deadline is associated as ``(start + (kernel + hang)) - hang``, so
+hang-run latencies can move in the last float bits.
 """
 
 from __future__ import annotations
@@ -99,8 +104,8 @@ class SubBatch:
     sessions: "list[Session]" = field(default_factory=list)
     #: Virtual time the sub-batch's kernels finish on its device.
     completion_s: float = 0.0
-    #: Completion excluding any injected hang (streams mode): what the
-    #: schedule *predicts*, including queueing behind the device's other
+    #: Completion excluding any injected hang: what the schedule
+    #: *predicts*, including queueing behind the device's other
     #: in-flight sub-batch.  The watchdog deadline builds on this.
     expected_completion_s: float = 0.0
     #: Device buffer holding the fused draw-matrix results between
@@ -144,22 +149,20 @@ class DeviceScheduler:
         self.timelines = [d.sim.timeline for d in group.devices]
         for tl in self.timelines:
             tl.launch_overhead_s = calib.launch_overhead_s
-        #: Streams per device: 1 = legacy null-stream scheduling (every
-        #: op serializes on ``device_busy_until``); >= 2 = overlapped
-        #: copy/compute streams with pipeline depth 2 per device.
+        #: Streams per device: 1 = one stream for copies and kernels,
+        #: pipeline depth 1; >= 2 = a copy stream and a compute stream,
+        #: pipeline depth 2.
         self.streams = streams
         self.pipeline_depth = 1 if streams == 1 else 2
-        #: Sub-batches currently in flight per device (streams mode lets
-        #: this reach :attr:`pipeline_depth`; legacy mode caps it at 1).
+        #: Sub-batches in flight per device (at most
+        #: :attr:`pipeline_depth`): the one record of occupancy.
         self.inflight_count = [0] * len(group)
-        if streams > 1:
-            self._copy_streams = [tl.create_stream() for tl in self.timelines]
-            self._compute_streams = [
-                tl.create_stream() for tl in self.timelines
-            ]
-        else:
-            self._copy_streams = None
-            self._compute_streams = None
+        self._copy_streams = [tl.create_stream() for tl in self.timelines]
+        self._compute_streams = (
+            self._copy_streams
+            if streams == 1
+            else [tl.create_stream() for tl in self.timelines]
+        )
         #: Execution-backend kind per device (``"sim"``/``"native"``).
         self.backend_kinds = [d.backend_kind for d in group.devices]
         #: Heterogeneous groups get cost-aware placement; homogeneous
@@ -172,8 +175,6 @@ class DeviceScheduler:
         #: Requests placed per device, by the cost-aware (or even) split;
         #: lets callers verify work actually routed to each backend kind.
         self.placed_requests = [0] * len(group)
-        #: Device indices with a sub-batch currently in flight.
-        self.busy: "set[int]" = set()
         #: Device indices evicted by the health machinery; excluded
         #: from placement until a probe readmits them.
         self.unhealthy: "set[int]" = set()
@@ -187,21 +188,16 @@ class DeviceScheduler:
         self.flight = None
 
     # ------------------------------------------------------------------
-    def free_devices(self) -> "list[int]":
-        """Healthy indices with pipeline room, least busy first.
+    @property
+    def busy(self) -> "set[int]":
+        """Device indices with a sub-batch in flight."""
+        return {i for i, count in enumerate(self.inflight_count) if count}
 
-        Legacy mode (``streams == 1``): devices with no in-flight
-        sub-batch.  Streams mode: devices below :attr:`pipeline_depth`,
-        emptiest first so new work prefers idle silicon over queueing.
-        """
-        if self.streams == 1:
-            free = [
-                i
-                for i in range(len(self.group))
-                if i not in self.busy and i not in self.unhealthy
-            ]
-            free.sort(key=lambda i: self.timelines[i].device_busy_until)
-            return free
+    def free_devices(self) -> "list[int]":
+        """Healthy indices below :attr:`pipeline_depth`, emptiest first
+        (then earliest idle), so new work prefers idle silicon over
+        queueing.  At depth 1 only devices with nothing in flight
+        qualify."""
         free = [
             i
             for i in range(len(self.group))
@@ -221,7 +217,6 @@ class DeviceScheduler:
     # ------------------------------------------------------------------
     def evict(self, device_index: int, reason: str) -> None:
         """Remove a device from placement until a probe readmits it."""
-        self.busy.discard(device_index)
         self.inflight_count[device_index] = 0
         self.unhealthy.add(device_index)
         obs.counter("fault.evictions").inc()
@@ -433,24 +428,25 @@ class DeviceScheduler:
                 nbytes = len(fused) * fused.dtype.itemsize
                 # Transient staging buffer backing the fused upload.
                 staging = device.alloc(nbytes)
-                if self.streams > 1:
-                    # Async upload on the copy stream; the compute
-                    # stream is gated on it by an event so the kernels
-                    # start at the upload's completion instead of the
-                    # host stalling for the whole device to drain.
-                    copy = self._copy_streams[sub.device_index]
-                    op = tl.stream_memcpy(copy, nbytes)
-                    obs.record_transfer(
-                        "batch-concat",
-                        "h2d",
-                        nbytes,
-                        label="serve.session-upload",
-                    )
+                copy = self._copy_streams[sub.device_index]
+                compute = self._compute_streams[sub.device_index]
+                op = tl.stream_memcpy(copy, nbytes)
+                obs.record_transfer(
+                    "batch-concat", "h2d", nbytes, label="serve.session-upload"
+                )
+                if compute is copy:
+                    # One stream: its queue already orders the kernels
+                    # after the upload, and the host blocks on it as on
+                    # a synchronous cudaMemcpy.
+                    tl.stream_synchronize(copy)
+                else:
+                    # The compute stream is gated on the upload by an
+                    # event, so the kernels start at the upload's
+                    # completion instead of the host stalling for the
+                    # whole device to drain.
                     uploaded = tl.create_event()
                     tl.record_event(uploaded, copy)
-                    tl.stream_wait_event(
-                        self._compute_streams[sub.device_index], uploaded
-                    )
+                    tl.stream_wait_event(compute, uploaded)
                     tl.destroy_event(uploaded)
                     obs.record_transfer(
                         "stream-wait",
@@ -459,27 +455,11 @@ class DeviceScheduler:
                         moved=False,
                         label="serve.kernels<-upload",
                     )
-                    if self.flight is not None:
-                        self.flight.device_event(
-                            sub.device_index, "transfer",
-                            op.start_s, op.end_s,
-                            label="h2d", stream=op.stream_id,
-                        )
-                else:
-                    tl.memcpy(nbytes)
-                    obs.record_transfer(
-                        "batch-concat", "h2d", nbytes,
-                        label="serve.session-upload",
+                if self.flight is not None:
+                    self.flight.device_event(
+                        sub.device_index, "transfer", op.start_s, op.end_s,
+                        label="h2d", stream=op.stream_id,
                     )
-                    if self.flight is not None:
-                        # Only the bus-active portion of the memcpy (the
-                        # implicit synchronize wait is device-busy time,
-                        # already painted by the kernel track).
-                        self.flight.device_event(
-                            sub.device_index, "transfer",
-                            tl.host_time - tl.pcie.transfer_time(nbytes),
-                            tl.host_time, label="h2d",
-                        )
                 device.free(staging)
                 for session in cold:
                     session.resident_on = sub.device_index
@@ -521,51 +501,25 @@ class DeviceScheduler:
                     prof.record_modelled(
                         kname, kind, inputs, arch=arch, modelled_s=secs
                     )
-        if self.streams > 1:
-            compute = self._compute_streams[sub.device_index]
-            for _ in range(LAUNCHES_PER_BATCH - 1):
-                tl.stream_launch(compute, 0.0)  # launch cost only
-            op = tl.stream_launch(compute, kernel_s + hang_s)
-            obs.counter("repro.serve.launches").inc(LAUNCHES_PER_BATCH)
-            self.busy.add(sub.device_index)
-            self.inflight_count[sub.device_index] += 1
-            sub.completion_s = op.end_s
-            sub.expected_completion_s = op.end_s - hang_s
-            if self.flight is not None:
-                self.flight.device_event(
-                    sub.device_index, "busy", op.start_s,
-                    op.start_s + kernel_s,
-                    label="step-kernels", stream=op.stream_id,
-                )
-                if hang_s > 0.0:
-                    self.flight.device_event(
-                        sub.device_index, "wedged", op.start_s + kernel_s,
-                        op.end_s, label="injected-hang", stream=op.stream_id,
-                    )
-            return sub.completion_s
-
+        compute = self._compute_streams[sub.device_index]
         for _ in range(LAUNCHES_PER_BATCH - 1):
-            tl.launch_kernel(0.0)  # simulate/modify boundary: launch cost only
-        tl.launch_kernel(kernel_s + hang_s)
+            tl.stream_launch(compute, 0.0)  # launch cost only
+        op = tl.stream_launch(compute, kernel_s + hang_s)
         obs.counter("repro.serve.launches").inc(LAUNCHES_PER_BATCH)
-
-        self.busy.add(sub.device_index)
-        self.inflight_count[sub.device_index] = 1
-        sub.completion_s = tl.device_busy_until
-        sub.expected_completion_s = sub.completion_s - hang_s
+        self.inflight_count[sub.device_index] += 1
+        sub.completion_s = op.end_s
+        sub.expected_completion_s = op.end_s - hang_s
         if self.flight is not None:
-            # The kernel occupies [start, start+kernel_s]; an injected
-            # hang extends the device occupancy but is *wedged* time,
-            # painted separately so the gantt shows the stall.
-            start = sub.completion_s - kernel_s - hang_s
+            # An injected hang extends the kernel's occupancy but is
+            # *wedged* time, painted separately so the gantt shows it.
             self.flight.device_event(
-                sub.device_index, "busy", start, start + kernel_s,
-                label="step-kernels",
+                sub.device_index, "busy", op.start_s, op.start_s + kernel_s,
+                label="step-kernels", stream=op.stream_id,
             )
             if hang_s > 0.0:
                 self.flight.device_event(
-                    sub.device_index, "wedged", start + kernel_s,
-                    sub.completion_s, label="injected-hang",
+                    sub.device_index, "wedged", op.start_s + kernel_s,
+                    op.end_s, label="injected-hang", stream=op.stream_id,
                 )
         return sub.completion_s
 
@@ -578,34 +532,23 @@ class DeviceScheduler:
         tl = self.timelines[sub.device_index]
         tl.host_time = max(tl.host_time, now)
         nbytes = engine.result_bytes(sub.sessions)
-        if self.streams > 1:
-            # Deferred async fetch: the d2h rides the copy stream, which
-            # waits only on the copy engine (and this host call — the
-            # kernels finished at completion_s <= now), never on the
-            # device's *other* in-flight sub-batch's kernels.  The host
-            # then blocks on the stream: it needs the payload to demux.
-            copy = self._copy_streams[sub.device_index]
-            op = tl.stream_memcpy(copy, nbytes)
-            tl.stream_synchronize(copy)
-            obs.record_transfer(
-                "batch-split", "d2h", nbytes, label="serve.draw-matrices"
+        # Deferred async fetch on the copy stream.  With two streams it
+        # waits only on the copy engine (the kernels finished at
+        # completion_s <= now), never on the device's other in-flight
+        # sub-batch; with one stream it queues behind the kernels like
+        # a synchronous cudaMemcpy.  Either way the host then blocks on
+        # the stream: it needs the payload to demux.
+        copy = self._copy_streams[sub.device_index]
+        op = tl.stream_memcpy(copy, nbytes)
+        tl.stream_synchronize(copy)
+        obs.record_transfer(
+            "batch-split", "d2h", nbytes, label="serve.draw-matrices"
+        )
+        if self.flight is not None:
+            self.flight.device_event(
+                sub.device_index, "transfer", op.start_s, op.end_s,
+                label="d2h", stream=op.stream_id,
             )
-            if self.flight is not None:
-                self.flight.device_event(
-                    sub.device_index, "transfer", op.start_s, op.end_s,
-                    label="d2h", stream=op.stream_id,
-                )
-        else:
-            tl.memcpy(nbytes)
-            obs.record_transfer(
-                "batch-split", "d2h", nbytes, label="serve.draw-matrices"
-            )
-            if self.flight is not None:
-                self.flight.device_event(
-                    sub.device_index, "transfer",
-                    tl.host_time - tl.pcie.transfer_time(nbytes),
-                    tl.host_time, label="d2h",
-                )
         # Fault consult: one draw per result fetch.  A corrupt fetch
         # still paid for the bytes (charged above), but the payload is
         # garbage — discard it, release the device, and let the service
@@ -629,12 +572,9 @@ class DeviceScheduler:
         return tl.host_time
 
     def _release_device(self, device_index: int) -> None:
-        """One sub-batch left ``device_index``; clear ``busy`` once the
-        pipeline is empty."""
+        """One sub-batch left ``device_index``."""
         if self.inflight_count[device_index] > 0:
             self.inflight_count[device_index] -= 1
-        if self.inflight_count[device_index] == 0:
-            self.busy.discard(device_index)
 
 
 class _BoundsProxy:

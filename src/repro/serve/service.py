@@ -110,9 +110,10 @@ class ServeConfig:
     devices: int = 2
     #: CUDA streams per device.  The default (2: one copy + one compute
     #: stream) pipelines staging uploads, kernels, and deferred result
-    #: fetches with depth 2 per device; ``streams=1`` restores the
-    #: legacy null-stream scheduler byte-for-byte (every launch/memcpy
-    #: serializes on ``device_busy_until``).
+    #: fetches with depth 2 per device; ``streams=1`` runs the same
+    #: pipeline at depth 1 on one stream, the host blocking on each
+    #: upload (byte-identical to the old serial scheduler on fault-free
+    #: runs; hang-run latencies move by float association).
     streams: int = 2
     #: Execution backend per device: ``"sim"``, ``"native"``, ``"mixed"``
     #: (alternating), or an explicit per-device list of kinds.
@@ -782,29 +783,15 @@ class SimulationService:
                         sub.device_index
                     ].host_time
                     if self.injector is not None:
-                        # Watchdog: predicted completion plus slack — a
-                        # hang overshoots this; nothing healthy does.
-                        if self.scheduler.streams > 1:
-                            # Streams mode: the schedule itself predicts
-                            # the finish (queueing behind the device's
-                            # other in-flight sub-batch included, any
-                            # injected hang excluded).
-                            sub.timeout_s = (
-                                sub.expected_completion_s
-                                + self.retry.batch_timeout_s
-                            )
-                        else:
-                            # Legacy: launch time plus predicted kernel
-                            # seconds (perf model on sim devices, EWMA
-                            # on native).
-                            predicted = self.scheduler.predict_kernel_s(
-                                sub.device_index, sub.sessions, self.engine
-                            )
-                            sub.timeout_s = (
-                                self.now
-                                + predicted
-                                + self.retry.batch_timeout_s
-                            )
+                        # Watchdog: the schedule's predicted finish
+                        # (queueing behind the device's other in-flight
+                        # sub-batch included, any injected hang
+                        # excluded) plus slack — a hang overshoots this;
+                        # nothing healthy does.
+                        sub.timeout_s = (
+                            sub.expected_completion_s
+                            + self.retry.batch_timeout_s
+                        )
                     self.stats.launches += 2
                     self._in_flight.append(sub)
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.fault import FaultConfig
 from repro.serve.loadgen import LoadReport, main, run_load
 from repro.serve.service import ServeConfig
@@ -111,6 +113,27 @@ class TestChaosMode:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--clients", "0"),
+            ("--rate", "0"),
+            ("--agents", "0"),
+            ("--max-batch", "0"),
+            ("--window-ms", "-1"),
+            ("--queue-capacity", "0"),
+            ("--streams", "0"),
+            ("--chaos-rate", "2"),
+        ],
+    )
+    def test_bad_flag_is_a_usage_error_naming_it(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
     def test_main_prints_report_and_writes_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(

@@ -1,10 +1,10 @@
 """Per-device stream pipelining in the serving scheduler.
 
 ``ServeConfig.streams`` controls how the :class:`DeviceScheduler` uses
-each device's timeline.  ``streams=1`` is the legacy serial scheduler —
-every launch and memcpy serializes on ``device_busy_until`` — and must
-reproduce pre-stream numbers *byte for byte*.  ``streams >= 2`` gives
-each device a copy stream and a compute stream, pipelines two
+each device's timeline.  ``streams=1`` runs the pipeline at depth 1 on
+one stream, the host blocking on each upload, and must reproduce the
+serial scheduler's fault-free numbers *byte for byte*.  ``streams >= 2``
+gives each device a copy stream and a compute stream, pipelines two
 sub-batches deep, and defers result fetches onto the copy engine so
 uploads/kernels/downloads overlap across batches.
 """
@@ -152,6 +152,29 @@ class TestLoadBehaviour:
 
 
 class TestFaultsUnderPipelining:
+    def test_single_stream_recovery_counts_under_chaos(self):
+        # The depth-1 pipeline under the chaos mix: hangs, launch
+        # failures, corrupt fetches and spurious OOMs all fire.  The
+        # counts match the serial scheduler's; only hang-run latencies
+        # may differ, in the last float bits.
+        r = run_load(
+            clients=32,
+            duration_s=0.1,
+            rate_rps=16000.0,
+            seed=7,
+            config=ServeConfig(
+                physics=False,
+                streams=1,
+                devices=2,
+                faults=FaultConfig.chaos(seed=7, device_fault_rate=0.05),
+            ),
+        )
+        assert r.completed == 1217
+        assert r.timeouts == 2
+        assert r.evictions == 2
+        assert r.retries == 44
+        assert r.stranded == 0
+
     def test_hung_batch_abandons_pipelined_sibling(self):
         # One device, two single-request batches pipelined onto it; the
         # first launch hangs.  The watchdog evicts the device once, the
