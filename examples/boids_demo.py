@@ -46,7 +46,7 @@ def main() -> None:
     import dataclasses
 
     dense = dataclasses.replace(params, world_radius=22.0)
-    sim = Simulation(256, dense, seed=7, engine="kdtree")
+    sim = Simulation(256, dense, seed=7)
     before = ascii_flock(sim.positions, dense.world_radius)
     pol0 = float(np.linalg.norm(sim.forwards.mean(axis=0)))
     sim.run(120)

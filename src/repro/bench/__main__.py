@@ -110,7 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str]") -> int:
     """Entry point: run the selected (or all) experiments."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if not args.tolerance >= 0:  # also rejects NaN
+        parser.error(f"--tolerance must be non-negative, got {args.tolerance}")
     if args.list:
         print("\n".join(EXPERIMENTS))
         return 0
@@ -118,12 +121,18 @@ def main(argv: "list[str]") -> int:
     if args.baseline or args.check:
         from repro.bench import regression
 
+        if args.check:
+            # Read the baseline before the slow gate run, so a bad path
+            # is a usage error naming the flag.
+            try:
+                baseline = regression.load_snapshot(args.check)
+            except (OSError, ValueError) as exc:
+                parser.error(f"--check cannot read {args.check}: {exc}")
         snap = regression.snapshot(EXPERIMENTS)
         if args.baseline:
             regression.write_snapshot(args.baseline, snap)
             print(f"baseline written: {args.baseline}")
             return 0
-        baseline = regression.load_snapshot(args.check)
         deltas = regression.compare(baseline, snap, args.tolerance)
         print(regression.render(deltas, args.tolerance))
         return 1 if any(d.failed for d in deltas) else 0

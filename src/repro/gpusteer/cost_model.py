@@ -55,22 +55,28 @@ class WorkloadStats:
 
     @staticmethod
     def measure(positions: np.ndarray, params: BoidsParams) -> "WorkloadStats":
-        """Exact statistics from an actual agent cloud (kd-tree count)."""
+        """Exact statistics from an actual agent cloud (kd-tree count).
+
+        A pair counts with the neighbor search's own strict ``d2 < r2``
+        test; the tree's pair query is inclusive (``<=``), so its pairs
+        at exactly the radius are filtered out here.
+        """
         from scipy.spatial import cKDTree
 
-        tree = cKDTree(positions)
-        counts = (
-            np.array(tree.query_ball_point(
-                positions, params.search_radius, return_length=True
-            ))
-            - 1  # exclude self
+        n = positions.shape[0]
+        pairs = cKDTree(positions).query_pairs(
+            params.search_radius, output_type="ndarray"
         )
+        diff = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+        d2 = (diff * diff).sum(axis=1)
+        i, j = pairs[d2 < params.search_radius * params.search_radius].T
+        counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
         m = float(counts.mean())
         full = float(np.maximum(counts - MAX_NEIGHBORS, 0).sum()) / max(
             float(counts.sum()), 1.0
         )
         avg = float(np.minimum(counts, MAX_NEIGHBORS).mean())
-        return WorkloadStats(positions.shape[0], m, full, avg)
+        return WorkloadStats(n, m, full, avg)
 
     @staticmethod
     def estimate(

@@ -2,11 +2,12 @@
 
 At benchmark populations (1024-32768 agents) the per-thread emulator is
 out of reach, so :class:`GpuBoidsRun` advances the *functional* flock
-with the vectorized engines (the same mathematics the kernels execute —
-``tests/gpusteer`` proves the equivalence on emulated populations) and
-charges every frame its modelled cost: host substages from the CPU cost
-model, kernels from the closed-form counts through the analytic SIMT
-model, transfers from the PCIe model.
+with the vectorized :class:`~repro.steer.simulation.Simulation` (the
+same mathematics the kernels execute — ``tests/gpusteer`` proves the
+equivalence on emulated populations) and charges every frame its
+modelled cost: host substages from the CPU cost model, kernels from the
+closed-form counts through the analytic SIMT model, transfers from the
+PCIe model.
 
 The workload statistics that drive the divergence terms are *measured*
 from the live flock each sampling interval, so clustering feeds back into
@@ -52,14 +53,11 @@ class GpuBoidsRun:
         params: BoidsParams = DEFAULT_PARAMS,
         seed: int | None = None,
         calib: Calibration = DEFAULT_CALIBRATION,
-        engine: str = "auto",
     ) -> None:
         self.version = version
         self.params = params
         self.calib = calib
-        self.sim = Simulation(
-            n, params, seed=seed, engine=engine, cpu_model=calib.cpu_model()
-        )
+        self.sim = Simulation(n, params, seed=seed, cpu_model=calib.cpu_model())
 
     def run(self, steps: int = 10, measure_stats: bool = True) -> RunResult:
         """Advance ``steps`` frames; model the steady-state update rate
@@ -104,7 +102,7 @@ def version_ladder(
 ) -> dict[int, RunResult]:
     """Fig. 6.2's dataset: one run per development version, including the
     CPU baseline as version 0, all on the same measured flock."""
-    sim = Simulation(n, params, seed=seed, engine="auto", cpu_model=calib.cpu_model())
+    sim = Simulation(n, params, seed=seed, cpu_model=calib.cpu_model())
     with obs.span("gpusteer.version_ladder", n=n, steps=steps):
         for _ in range(steps):
             sim.update()

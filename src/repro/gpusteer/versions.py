@@ -28,7 +28,7 @@ separately, by running the emulated kernels against the pure reference
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.bench.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpusteer.cost_model import (
@@ -41,7 +41,7 @@ from repro.gpusteer.cost_model import (
     simulate_grid_cost,
 )
 from repro.simgpu.arch import ArchSpec, G80_8800GTS
-from repro.simgpu.perfmodel import kernel_time
+from repro.simgpu.perfmodel import KernelCostInputs, kernel_time
 from repro.steer.params import BoidsParams
 
 #: Block size the GPU port launches with (agents padded to a multiple).
@@ -101,6 +101,11 @@ class UpdateBreakdown:
     gpu_kernel_s: float  # device execution (runs async; bounded below)
     transfer_s: float  # cudaMemcpy calls (block the host)
     launch_overhead_s: float
+    #: ``(kernel_name, KernelCostInputs, seconds)`` per launched kernel,
+    #: in launch order; the seconds sum to ``gpu_kernel_s``.
+    kernel_rows: "tuple[tuple[str, KernelCostInputs, float], ...]" = field(
+        default=(), repr=False
+    )
 
     @property
     def total_s(self) -> float:
@@ -146,9 +151,11 @@ def update_time(
     )
 
     host = 0.0
-    gpu = 0.0
     transfer = 0.0
-    launches = 0
+    rows: "list[tuple[str, KernelCostInputs, float]]" = []
+
+    def launch(name: str, inputs: KernelCostInputs) -> None:
+        rows.append((name, inputs, kernel_time(inputs, arch).total_s))
 
     if not spec.neighbor_on_device:
         # Pure CPU version: everything on the host.
@@ -165,9 +172,10 @@ def update_time(
         # (listing 6.1), then finishes steering + modification itself.
         host += calib.extract_seconds(3 * n)  # positions into cupp::vector
         transfer += pcie.transfer_time(12 * n)  # positions upload
-        kernel = neighbor_v1_cost if version == 1 else neighbor_v2_cost
-        gpu += kernel_time(kernel(geom, stats), arch).total_s
-        launches += 1
+        if version == 1:
+            launch("find_neighbors_v1", neighbor_v1_cost(geom, stats))
+        else:
+            launch("find_neighbors_v2", neighbor_v2_cost(geom, stats))
         transfer += pcie.transfer_time(4 * 7 * thinkers)  # results download
         host += calib.extract_seconds(7 * thinkers)  # results back out
         host += cpu.seconds(cpu.steering_cycles(thinkers))
@@ -178,11 +186,10 @@ def update_time(
         host += calib.extract_seconds(6 * n)  # positions + forwards out
         transfer += pcie.transfer_time(12 * n)  # positions
         transfer += pcie.transfer_time(12 * n)  # forwards
-        gpu += kernel_time(
+        launch(
+            "simulate_v3" if spec.local_mem_caching else "simulate_v4",
             simulate_cost(geom, stats, local_cache=spec.local_mem_caching),
-            arch,
-        ).total_s
-        launches += 1
+        )
         transfer += pcie.transfer_time(12 * thinkers)  # steering download
         host += calib.extract_seconds(3 * thinkers)
         host += cpu.seconds(cpu.modification_cycles(n))
@@ -202,25 +209,22 @@ def update_time(
         transfer += pcie.transfer_time(4 * n)  # members
         transfer += pcie.transfer_time(4 * (segments + 1))  # starts
         transfer += pcie.transfer_time(capacity * 12)  # directory
-        gpu += kernel_time(simulate_grid_cost(geom, stats), arch).total_s
-        gpu += kernel_time(modify_cost(all_geom), arch).total_s
-        launches += 2
+        launch("simulate_grid", simulate_grid_cost(geom, stats))
+        launch("modify_kernel", modify_cost(all_geom))
     else:
         # v5: everything stays on the device; lazy copying (§4.6) means no
         # per-frame uploads at all — only the draw matrices come back
         # (handled in the frame model, not the update stage).
-        gpu += kernel_time(
-            simulate_cost(geom, stats, local_cache=False), arch
-        ).total_s
-        gpu += kernel_time(modify_cost(all_geom), arch).total_s
-        launches += 2
+        launch("simulate_v4", simulate_cost(geom, stats, local_cache=False))
+        launch("modify_kernel", modify_cost(all_geom))
 
     return UpdateBreakdown(
         version,
         host_compute_s=host,
-        gpu_kernel_s=gpu,
+        gpu_kernel_s=sum(seconds for _name, _inputs, seconds in rows),
         transfer_s=transfer,
-        launch_overhead_s=launches * calib.launch_overhead_s,
+        launch_overhead_s=len(rows) * calib.launch_overhead_s,
+        kernel_rows=tuple(rows),
     )
 
 

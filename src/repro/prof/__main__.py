@@ -34,8 +34,12 @@ from repro.prof.report import (
     session_report,
 )
 from repro.prof.session import ProfSession
+from repro.simgpu.arch import G80_8800GTS
 
 PIPELINE_VERSIONS = (1, 2, 3, 4, 5, 6)
+
+#: Largest block the profiled device launches (the G80 limit).
+MAX_TPB = G80_8800GTS.max_threads_per_block
 
 
 def parse_target(raw: str) -> "tuple[str, object]":
@@ -172,19 +176,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: (flag, requirement, check) — validated up front so a bad value is a
+#: usage error naming the flag, not a traceback from deep in a launch.
+_FLAG_RULES = (
+    ("--agents", "at least 1", lambda v: v >= 1),
+    ("--steps", "at least 1", lambda v: v >= 1),
+    ("--tpb", f"between 1 and {MAX_TPB}", lambda v: 1 <= v <= MAX_TPB),
+    ("--mps", "at least 1", lambda v: v >= 1),
+)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point: profile targets, optionally diff a pair.
 
     Returns the process exit code; raises ``SystemExit`` on usage
-    errors (unknown target, ``--diff`` without exactly two targets).
+    errors (unknown target, a flag out of range, ``--diff`` without
+    exactly two targets).
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, requirement, check in _FLAG_RULES:
+        value = getattr(args, flag[2:])
+        if not check(value):
+            parser.error(f"{flag} must be {requirement}, got {value}")
     try:
-        for raw in args.targets:
-            parse_target(raw)  # validate before any slow profiling
+        # Validate before any slow profiling.
+        whats = [parse_target(raw)[1] for raw in args.targets]
     except ValueError as exc:
         parser.error(str(exc))
+    if args.agents % args.tpb and any(w != "serve" for w in whats):
+        parser.error(
+            f"--agents must be a multiple of --tpb ({args.tpb}) for "
+            f"pipeline targets, got {args.agents}"
+        )
     if args.diff and len(args.targets) != 2:
         parser.error("--diff needs exactly two targets (baseline, candidate)")
 

@@ -10,15 +10,20 @@ batch.  That additivity is precisely the amortization the batcher
 exploits; it is also why the modelled numbers stay honest: batching
 never makes the compute itself cheaper, only the overhead.
 
-Kernel seconds are cached per population size — a serving process sees
-the same session sizes over and over.
+The modelled update stage is cached per population size — a serving
+process sees the same session sizes over and over.
 """
 
 from __future__ import annotations
 
 from repro.bench.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.gpusteer.versions import DRAW_MATRIX_BYTES, update_time
+from repro.gpusteer.versions import (
+    DRAW_MATRIX_BYTES,
+    UpdateBreakdown,
+    update_time,
+)
 from repro.serve.sessions import Session
+from repro.simgpu.perfmodel import KernelCostInputs
 from repro.steer.params import BoidsParams, DEFAULT_PARAMS
 
 #: Kernel launches per fused batch: the v5 simulation substage kernel
@@ -38,77 +43,38 @@ class StepEngine:
         self.params = params
         self.calib = calib
         self.version = version
-        self._kernel_cache: "dict[int, float]" = {}
-        self._cost_rows_cache: "dict[int, list]" = {}
+        self._breakdowns: "dict[int, UpdateBreakdown]" = {}
 
     # ------------------------------------------------------------------
+    def _breakdown(self, n: int) -> UpdateBreakdown:
+        """The modelled update stage for one session of ``n`` agents."""
+        breakdown = self._breakdowns.get(n)
+        if breakdown is None:
+            breakdown = self._breakdowns[n] = update_time(
+                self.version, n, self.params, calib=self.calib
+            )
+        return breakdown
+
     def kernel_seconds(self, n: int) -> float:
         """Device seconds for one session of ``n`` agents (v5 kernels)."""
-        cached = self._kernel_cache.get(n)
-        if cached is None:
-            breakdown = update_time(self.version, n, self.params, calib=self.calib)
-            cached = self._kernel_cache[n] = breakdown.gpu_kernel_s
-        return cached
+        return self._breakdown(n).gpu_kernel_s
 
     def batch_kernel_seconds(self, sessions: "list[Session]") -> float:
         """Fused execution time: per-session kernel times, summed."""
         return sum(self.kernel_seconds(s.n) for s in sessions)
 
-    def kernel_cost_rows(self, n: int) -> "list[tuple[str, object, float]]":
+    def kernel_cost_rows(
+        self, n: int
+    ) -> "tuple[tuple[str, KernelCostInputs, float], ...]":
         """Per-kernel cost rows for one session of ``n`` agents.
 
         Splits :meth:`kernel_seconds` into the individual kernels the
         version launches — ``(kernel_name, KernelCostInputs, seconds)``
-        per row, exactly the geometry :func:`update_time` models — so an
-        attached :class:`repro.prof.session.ProfSession` can attribute
-        serve-plane device time per kernel.  Cached per population size
-        like the kernel-seconds cache.
+        per row, as recorded by :func:`update_time` — so an attached
+        :class:`repro.prof.session.ProfSession` can attribute serve-plane
+        device time per kernel.
         """
-        rows = self._cost_rows_cache.get(n)
-        if rows is None:
-            import math
-
-            from repro.gpusteer.cost_model import (
-                LaunchGeometry,
-                WorkloadStats,
-                modify_cost,
-                neighbor_v1_cost,
-                neighbor_v2_cost,
-                simulate_cost,
-                simulate_grid_cost,
-            )
-            from repro.gpusteer.versions import THREADS_PER_BLOCK, _cohort_size
-            from repro.simgpu.perfmodel import kernel_time
-
-            stats = WorkloadStats.estimate(
-                n, self.params, self.calib.density_clustering
-            )
-            geom = LaunchGeometry(
-                _cohort_size(n, self.params), THREADS_PER_BLOCK
-            )
-            all_geom = LaunchGeometry(
-                THREADS_PER_BLOCK * math.ceil(n / THREADS_PER_BLOCK),
-                THREADS_PER_BLOCK,
-            )
-            by_version = {
-                1: [("find_neighbors_v1", neighbor_v1_cost(geom, stats))],
-                2: [("find_neighbors_v2", neighbor_v2_cost(geom, stats))],
-                3: [("simulate_v3", simulate_cost(geom, stats, local_cache=True))],
-                4: [("simulate_v4", simulate_cost(geom, stats, local_cache=False))],
-                5: [
-                    ("simulate_v4", simulate_cost(geom, stats, local_cache=False)),
-                    ("modify_kernel", modify_cost(all_geom)),
-                ],
-                6: [
-                    ("simulate_grid", simulate_grid_cost(geom, stats)),
-                    ("modify_kernel", modify_cost(all_geom)),
-                ],
-            }
-            rows = self._cost_rows_cache[n] = [
-                (name, inputs, kernel_time(inputs).total_s)
-                for name, inputs in by_version[self.version]
-            ]
-        return rows
+        return self._breakdown(n).kernel_rows
 
     @staticmethod
     def result_bytes(sessions: "list[Session]") -> int:

@@ -36,8 +36,6 @@ from repro.steer.demo import (
 from repro.steer.neighbors import (
     NO_NEIGHBOR,
     neighbor_search_all,
-    neighbor_search_all_kdtree,
-    neighbor_search_all_numpy,
     neighbor_search_all_pure,
     neighbor_search_pure,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "flocking_np",
     "flocking_pure",
     "neighbor_search_all",
-    "neighbor_search_all_kdtree",
-    "neighbor_search_all_numpy",
     "neighbor_search_all_pure",
     "neighbor_search_pure",
     "separation_np",

@@ -1,24 +1,23 @@
 """Neighbor search: the 7 nearest agents within a radius (paper §5.2.1).
 
-Three engines compute the identical result:
+Two implementations compute the identical result:
 
-``pure``
+``neighbor_search_pure`` / ``neighbor_search_all_pure``
     Listing 5.2 verbatim — a linear scan keeping the 7 nearest.  O(n) per
     agent, O(n^2) for everyone; the CPU performance bottleneck (82% of
-    cycles, Fig. 5.5) and the exact algorithm the GPU kernels port.
+    cycles, Fig. 5.5) and the exact algorithm the GPU kernels port.  The
+    reference every other search is tested against.
 
-``numpy``
-    Blocked brute force: the same O(n^2) arithmetic vectorized, with a
-    block size bounding the pairwise-distance working set.
+``neighbor_search_all``
+    The fast host search: a ``scipy.spatial.cKDTree`` k-nearest query
+    with the radius filter applied afterwards.  An *implementation*
+    optimization only — it returns the same rows, and the paper-faithful
+    timing model continues to charge for the brute-force scan the
+    paper's code performs.  (It is also the "spatial data structures"
+    future work of ch. 7.)
 
-``kdtree``
-    ``scipy.spatial.cKDTree`` k-nearest query with the radius filter
-    applied afterwards.  An *engine* optimization only — it returns the
-    same neighbor sets, and the paper-faithful timing model continues to
-    charge for the brute-force scan the paper's code performs.  (It is
-    also the "spatial data structures" future work of ch. 7.)
-
-All engines return an ``(n, k)`` int array padded with -1.
+Both return an ``(n, k)`` int array padded with -1, each row nearest
+first with ties broken by ascending index.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ def neighbor_search_pure(
                 # Evict the lexicographically largest (d2, index) pair if
                 # the new pair is smaller: the kept set is *the*
                 # max_neighbors smallest pairs, independent of scan order
-                # — so ties resolve identically across every engine and
-                # both device backends.
+                # — so ties resolve identically across the host search
+                # and both device backends.
                 worst = max(range(len(neighbors)), key=lambda k: neighbors[k])
                 if neighbors[worst] > (d2, j):
                     neighbors[worst] = (d2, j)
@@ -77,49 +76,17 @@ def neighbor_search_all_pure(
     ).reshape(len(positions), params.max_neighbors)
 
 
-def neighbor_search_all_numpy(
+def neighbor_search_all(
     positions: np.ndarray,
     params: BoidsParams,
-    block: int = 2048,
     rows: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Blocked brute force over an ``(n, 3)`` float array.
+    """k-NN via cKDTree over an ``(n, 3)`` float array, radius-filtered.
 
     ``rows`` restricts the search to the given query agents — the think
     frequency's cohort (§5.3): only those rows of the result are filled,
     the rest stay NO_NEIGHBOR.
     """
-    n = positions.shape[0]
-    k = params.max_neighbors
-    r2 = params.search_radius**2
-    query = np.arange(n) if rows is None else np.asarray(rows)
-    out = np.full((n, k), NO_NEIGHBOR, dtype=np.int64)
-    kk = min(k, n - 1)
-    if kk == 0:
-        return out  # a lone agent has no possible neighbors
-    for start in range(0, len(query), block):
-        sel = query[start : start + block]
-        chunk = positions[sel]
-        # (block, n) squared distances.
-        d2 = ((chunk[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(len(sel)), sel] = np.inf  # exclude self
-        d2[d2 >= r2] = np.inf
-        # Stable sort on d2 breaks ties by ascending column index, i.e.
-        # the exact (d2, index) selection.  (argpartition's k-cut is
-        # arbitrary under tied distances, so it cannot be used here.)
-        idx = np.argsort(d2, axis=1, kind="stable")[:, :kk]
-        part = np.take_along_axis(d2, idx, axis=1)
-        idx[~np.isfinite(part)] = NO_NEIGHBOR
-        out[sel, :kk] = idx
-    return out
-
-
-def neighbor_search_all_kdtree(
-    positions: np.ndarray,
-    params: BoidsParams,
-    rows: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """k-NN via cKDTree, radius-filtered — same sets, different engine."""
     from scipy.spatial import cKDTree
 
     n = positions.shape[0]
@@ -130,54 +97,36 @@ def neighbor_search_all_kdtree(
     # candidate past the kept set, so a tie straddling the k-cut always
     # shows up as a duplicated distance in the returned row.
     kk = min(k + 2, n)
-    dist, idx = tree.query(positions[query], k=kk)
+    _dist, idx = tree.query(positions[query], k=kk)
     if kk == 1:
-        dist = dist[:, None]
         idx = idx[:, None]
-    # Drop self-matches and out-of-radius hits.
-    self_col = idx == query[:, None]
-    dist = np.where(self_col, np.inf, dist)
-    dist[dist >= params.search_radius] = np.inf
-    order = np.argsort(dist, axis=1, kind="stable")
-    dist = np.take_along_axis(dist, order, axis=1)
+    # Rank the candidates by the exact d2 the reference computes, and
+    # apply its strict d2 < r2 test: the tree's rounded distance can put
+    # an in-radius pair at exactly the radius.  Drop self-matches.
+    diff = positions[query][:, None, :] - positions[idx]
+    d2 = (diff * diff).sum(axis=2)
+    r2 = params.search_radius * params.search_radius
+    d2[(idx == query[:, None]) | (d2 >= r2)] = np.inf
+    order = np.argsort(d2, axis=1, kind="stable")
+    d2 = np.take_along_axis(d2, order, axis=1)
     idx = np.take_along_axis(idx, order, axis=1)
     out = np.full((n, k), NO_NEIGHBOR, dtype=np.int64)
     take = min(k, kk)
     sel = idx[:, :take].astype(np.int64)
-    sel[~np.isfinite(dist[:, :take])] = NO_NEIGHBOR
+    sel[~np.isfinite(d2[:, :take])] = NO_NEIGHBOR
     out[query, :take] = sel
     # The tree's k-cut and return order are arbitrary under exact ties,
-    # so any row showing a duplicated in-radius distance is recomputed
-    # with the exact (d2, index) engine.  Measure-zero for continuous
-    # positions — the fallback fires only on manufactured tie inputs.
-    finite = np.isfinite(dist)
-    dup = (dist[:, :-1] == dist[:, 1:]) & finite[:, 1:]
+    # so any row showing a duplicated in-radius d2 is recomputed with
+    # the listing 5.2 reference's exact (d2, index) rule.  Measure-zero
+    # for continuous positions — the fallback fires only on manufactured
+    # tie inputs.
+    finite = np.isfinite(d2)
+    dup = (d2[:, :-1] == d2[:, 1:]) & finite[:, 1:]
     tie_rows = query[np.any(dup, axis=1)]
     if tie_rows.size:
-        exact = neighbor_search_all_numpy(positions, params, rows=tie_rows)
-        out[tie_rows] = exact[tie_rows]
+        vecs = [Vec3.from_tuple(p) for p in positions]
+        for i in tie_rows:
+            out[i] = neighbor_search_pure(
+                vecs, int(i), params.search_radius, k
+            )
     return out
-
-
-ENGINES = {
-    "numpy": neighbor_search_all_numpy,
-    "kdtree": neighbor_search_all_kdtree,
-}
-
-
-def neighbor_search_all(
-    positions: np.ndarray,
-    params: BoidsParams,
-    engine: str = "auto",
-    rows: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Dispatch to an engine; ``auto`` uses kdtree for large populations."""
-    if engine == "auto":
-        engine = "kdtree" if positions.shape[0] > 2048 else "numpy"
-    try:
-        fn = ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown neighbor engine {engine!r}; pick from {sorted(ENGINES)}"
-        ) from None
-    return fn(positions, params, rows=rows)

@@ -1,7 +1,8 @@
 """Boids scenario parameters (paper ch. 5).
 
-One parameter block shared by the CPU reference, the numpy engine, and
-the GPU kernels, so every implementation simulates the *same* world:
+One parameter block shared by the CPU reference, the vectorized
+:class:`~repro.steer.simulation.Simulation`, and the GPU kernels, so
+every implementation simulates the *same* world:
 
 * agents are identical spheres in a spherical world; leaving the world
   re-enters at the diametrically opposite point (§5.1);

@@ -21,18 +21,14 @@ class BoidsPlugIn(PlugIn):
         n: int = 256,
         params: BoidsParams = DEFAULT_PARAMS,
         seed: int | None = None,
-        engine: str = "auto",
     ) -> None:
         self._n = n
         self._params = params
         self._seed = seed
-        self._engine = engine
         self.sim: Simulation | None = None
 
     def open(self, annotation: Annotation) -> None:
-        self.sim = Simulation(
-            self._n, self._params, seed=self._seed, engine=self._engine
-        )
+        self.sim = Simulation(self._n, self._params, seed=self._seed)
 
     def simulation_substage(self, dt: float) -> None:
         self.sim.simulation_substage()

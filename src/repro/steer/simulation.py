@@ -16,7 +16,9 @@ Two interchangeable state engines:
 
 * :class:`ReferenceSimulation` — Agent objects + the pure listing code.
   The ground truth for tests.
-* :class:`Simulation` — column arrays + vectorized numpy.  What the
+* :class:`Simulation` — column arrays + vectorized numpy behaviors, with
+  the kd-tree host neighbor search
+  (:func:`repro.steer.neighbors.neighbor_search_all`).  What the
   benchmarks run.
 """
 
@@ -71,11 +73,9 @@ class Simulation:
         n: int,
         params: BoidsParams = DEFAULT_PARAMS,
         seed: int | None = None,
-        engine: str = "auto",
         cpu_model: CpuCostModel = DEFAULT_CPU_MODEL,
     ) -> None:
         self.params = params
-        self.engine = engine
         self.cpu_model = cpu_model
         agents = spawn_agents(n, params, seed)
         self.positions = np.array([a.position.as_tuple() for a in agents])
@@ -100,9 +100,7 @@ class Simulation:
         cohort = think_cohort(self.n, self.step_count, self.params.think_every)
         # Only the thinking cohort searches (skipThink, §5.3) — the
         # functional engine skips the other agents' O(n) scans entirely.
-        neighbors = neighbor_search_all(
-            self.positions, self.params, engine=self.engine, rows=cohort
-        )
+        neighbors = neighbor_search_all(self.positions, self.params, rows=cohort)
         self.steering[cohort] = flocking_np(
             self.positions, self.forwards, neighbors, self.params
         )[cohort]

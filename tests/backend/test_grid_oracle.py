@@ -10,7 +10,8 @@ seven lexicographically smallest ``(d2, index)`` pairs:
 
 * the emulated all-pairs kernel (v2) and the grid kernel (v6),
 * their native numpy twins,
-* the three host engines (pure, blocked numpy, kdtree).
+* the two host searches: the listing 5.2 reference and the kd-tree fast
+  path, whose tie rows fall back to that reference.
 
 This is the test that retires the documented keep-7 tie caveat.
 """
@@ -26,8 +27,7 @@ from repro.gpusteer import EmulatedBoids
 from repro.steer import DEFAULT_PARAMS, Vec3
 from repro.steer.neighbors import (
     NO_NEIGHBOR,
-    neighbor_search_all_kdtree,
-    neighbor_search_all_numpy,
+    neighbor_search_all,
     neighbor_search_all_pure,
 )
 
@@ -142,18 +142,13 @@ class TestManufacturedTies:
 
     @pytest.mark.parametrize(
         "engine",
-        [
-            neighbor_search_all_pure,
-            neighbor_search_all_numpy,
-            neighbor_search_all_kdtree,
-        ],
-        ids=["pure", "numpy", "kdtree"],
+        [neighbor_search_all_pure, neighbor_search_all],
+        ids=["pure", "kdtree"],
     )
     def test_host_engines_match_the_oracle(self, engine):
         assert _row_sets(_host_sets(engine)) == EXPECTED
 
     def test_host_engines_agree_elementwise(self):
         pure = _host_sets(neighbor_search_all_pure)
-        fast = _host_sets(neighbor_search_all_numpy)
-        tree = _host_sets(neighbor_search_all_kdtree)
-        assert _row_sets(pure) == _row_sets(fast) == _row_sets(tree)
+        tree = _host_sets(neighbor_search_all)
+        assert np.array_equal(pure, tree)

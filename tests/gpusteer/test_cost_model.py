@@ -168,6 +168,14 @@ class TestWorkloadStats:
         assert s.in_radius_per_agent == pytest.approx(1.0)
         assert s.full_insert_fraction == 0.0
 
+    def test_pair_at_exactly_the_radius_is_not_counted(self):
+        # The search and every kernel test d2 < r2, so two agents exactly
+        # one search radius apart are not neighbors.
+        pos = np.array([[0, 0, 0], [9, 0, 0]], float)
+        s = WorkloadStats.measure(pos, PARAMS)
+        assert s.in_radius_per_agent == 0.0
+        assert s.avg_neighbors == 0.0
+
     def test_full_fraction_rises_with_density(self):
         rng = np.random.default_rng(2)
         sparse = WorkloadStats.measure(

@@ -36,6 +36,37 @@ class TestTable61:
         assert VERSIONS[3].local_mem_caching
         assert not VERSIONS[4].local_mem_caching
 
+class TestKernelRows:
+    """``update_time`` records each launched kernel's cost row; the rows
+    are the one table of which kernels a version launches."""
+
+    KERNELS = {
+        0: [],
+        1: ["find_neighbors_v1"],
+        2: ["find_neighbors_v2"],
+        3: ["simulate_v3"],
+        4: ["simulate_v4"],
+        5: ["simulate_v4", "modify_kernel"],
+        6: ["simulate_grid", "modify_kernel"],
+    }
+
+    @pytest.mark.parametrize("params", [DEFAULT_PARAMS, THINK_FREQ_PARAMS])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6])
+    def test_rows_sum_to_gpu_kernel_seconds_bit_exactly(self, version, params):
+        b = update_time(version, 4096, params)
+        assert [name for name, _inputs, _s in b.kernel_rows] == (
+            self.KERNELS[version]
+        )
+        assert sum(s for _name, _inputs, s in b.kernel_rows) == b.gpu_kernel_s
+
+    def test_step_engine_serves_the_same_rows(self):
+        from repro.serve.engine import StepEngine
+
+        engine = StepEngine()
+        rows = engine.kernel_cost_rows(128)
+        assert rows == update_time(5, 128, DEFAULT_PARAMS).kernel_rows
+        assert sum(s for _name, _inputs, s in rows) == engine.kernel_seconds(128)
+
 
 class TestFig62Ladder:
     @pytest.mark.parametrize("version,paper", sorted(PAPER_SPEEDUPS.items()))

@@ -22,6 +22,32 @@ class TestBenchCli:
         assert "Fig 5.6" in out
         assert "Fig 6.2" not in out
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--tolerance", "-5", "--check", "benchmarks/baseline.json"],
+             "--tolerance"),
+            (["--tolerance", "nan"], "--tolerance"),
+            (["--check", "{missing}"], "--check"),
+            (["--check", "{not_json}"], "--check"),
+        ],
+    )
+    def test_bad_flag_is_a_usage_error_naming_it(
+        self, argv, flag, tmp_path, capsys
+    ):
+        not_json = tmp_path / "not.json"
+        not_json.write_text("{")
+        argv = [
+            a.format(missing=tmp_path / "missing.json", not_json=not_json)
+            for a in argv
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
     def test_unknown_experiment(self, capsys):
         assert main(["fig-9.9"]) == 2
         err = capsys.readouterr().err

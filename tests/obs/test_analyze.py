@@ -180,11 +180,9 @@ class TestGpusteerLadder:
         # Warm-up run outside the capture: first-call costs (lazy numpy
         # allocations etc.) land in `gpusteer.run` self time and would
         # otherwise drown the step loop in a tiny benchmark.
-        GpuBoidsRun(64, version=version, seed=7, engine="numpy").run(steps=1)
+        GpuBoidsRun(64, version=version, seed=7).run(steps=1)
         with obs.capture() as cap:
-            GpuBoidsRun(64, version=version, seed=7, engine="numpy").run(
-                steps=8
-            )
+            GpuBoidsRun(64, version=version, seed=7).run(steps=8)
         return cap
 
     def test_diff_reports_per_span_deltas_and_critical_path(self, tmp_path):

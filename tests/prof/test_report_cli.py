@@ -123,3 +123,28 @@ class TestCli:
     def test_bad_target_rejected_before_profiling(self, capsys):
         with pytest.raises(SystemExit):
             main(["v7"])
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["v5", "--agents", "0"], "--agents"),
+            (["serve", "--agents", "-3"], "--agents"),
+            (["v5", "--agents", "100"], "--tpb"),  # not a multiple of 32
+            (["v5", "--tpb", "0"], "--tpb"),
+            (["v5", "--tpb", "1024", "--agents", "1024"], "--tpb"),
+            (["v5", "--mps", "0"], "--mps"),
+            (["v5", "--steps", "0"], "--steps"),
+        ],
+    )
+    def test_bad_flag_is_a_usage_error_naming_it(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
+    def test_serve_target_needs_no_tpb_multiple(self, capsys):
+        # Only the pipeline kernels launch n / tpb blocks.
+        assert main(["serve", "--agents", "100"]) == 0
+        assert "repro.prof — serve" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from repro.steer import (
     cohesion_pure,
     flocking_np,
     flocking_pure,
-    neighbor_search_all_numpy,
+    neighbor_search_all,
     separation_np,
     separation_pure,
 )
@@ -97,7 +97,7 @@ class TestNumpyEquivalence:
         positions = rng.uniform(-12, 12, size=(n, 3))
         forwards = rng.normal(size=(n, 3))
         forwards /= np.linalg.norm(forwards, axis=1, keepdims=True)
-        neighbors = neighbor_search_all_numpy(positions, PARAMS)
+        neighbors = neighbor_search_all(positions, PARAMS)
         return positions, forwards, neighbors
 
     def test_separation_matches_pure(self, cloud):

@@ -130,7 +130,7 @@ class TestMainLoop:
 class TestBuiltinPlugins:
     def test_boids_plugin_runs(self):
         demo = OpenSteerDemo()
-        demo.register(BoidsPlugIn(n=32, seed=1, engine="numpy"))
+        demo.register(BoidsPlugIn(n=32, seed=1))
         demo.select("Boids")
         demo.run(3)
         plugin = demo.active
@@ -144,11 +144,11 @@ class TestBuiltinPlugins:
         from repro.steer import Simulation
 
         demo = OpenSteerDemo(Clock(dt=1 / 60))
-        demo.register(BoidsPlugIn(n=24, seed=5, engine="numpy"))
+        demo.register(BoidsPlugIn(n=24, seed=5))
         demo.select("Boids")
         demo.run(4)
 
-        bare = Simulation(24, seed=5, engine="numpy")
+        bare = Simulation(24, seed=5)
         for _ in range(4):
             bare.update()
         np.testing.assert_allclose(
@@ -169,7 +169,7 @@ class TestBuiltinPlugins:
 
     def test_both_plugins_coexist(self):
         demo = OpenSteerDemo()
-        demo.register(BoidsPlugIn(n=32, seed=1, engine="numpy"))
+        demo.register(BoidsPlugIn(n=32, seed=1))
         demo.register(PursuitPlugIn())
         assert demo.plugin_names == ["Boids", "Pursuit"]
         demo.select("Boids")

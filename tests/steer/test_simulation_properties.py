@@ -26,7 +26,7 @@ class TestSimulationInvariants:
     )
     @given(params=params_strategy, n=st.integers(4, 48), seed=st.integers(0, 2**16))
     def test_physical_invariants_hold(self, params, n, seed):
-        sim = Simulation(n, params, seed=seed, engine="numpy")
+        sim = Simulation(n, params, seed=seed)
         sim.run(8)
         # Speeds never exceed the limit.
         assert sim.speeds.max() <= params.max_speed * (1 + 1e-9)
@@ -43,8 +43,8 @@ class TestSimulationInvariants:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**16))
     def test_determinism(self, seed):
-        a = Simulation(24, seed=seed, engine="numpy")
-        b = Simulation(24, seed=seed, engine="numpy")
+        a = Simulation(24, seed=seed)
+        b = Simulation(24, seed=seed)
         a.run(5)
         b.run(5)
         np.testing.assert_array_equal(a.positions, b.positions)
@@ -53,7 +53,7 @@ class TestSimulationInvariants:
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(4, 32), seed=st.integers(0, 2**16))
     def test_profile_monotone(self, n, seed):
-        sim = Simulation(n, seed=seed, engine="numpy")
+        sim = Simulation(n, seed=seed)
         totals = []
         for _ in range(3):
             sim.frame()
