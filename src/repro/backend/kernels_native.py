@@ -34,7 +34,11 @@ import numpy as np
 
 from repro.backend.native import native_kernel
 from repro.cupp.containers.flatmap import EMPTY_KEY
-from repro.cupp.containers.hashgrid import _AXIS_MAX, axis_cell, pack_cell_key
+from repro.cupp.containers.hashgrid import (
+    _AXIS_MAX,
+    _axis_cells,
+    _pack_cell_keys,
+)
 from repro.gpusteer.kernels_emu import (
     MAX_NEIGHBORS,
     NO_NEIGHBOR,
@@ -249,10 +253,10 @@ def _modify(device, grid_dim, block_dim, args) -> None:
     )
     new_speed = np.where(over_v, max_speed, v2 * inv_v)
 
-    pos = _load3(positions, m)
-    pos = pos + velocity * dt
+    old = _load3(positions, m)
+    pos = old + velocity * dt
     p2 = _length_squared3(pos)
-    pos = np.where((p2 > world_r * world_r)[:, None], -pos, pos)
+    pos = np.where((p2 > world_r * world_r)[:, None], -old, pos)
     positions.view._raw()[: 3 * m] = pos.reshape(-1)
 
     moving = new_speed > 1e-12
@@ -308,63 +312,75 @@ native_kernel(modify_kernel.impl)(_modify)
 # ----------------------------------------------------------------------
 
 
+#: Agents per vectorized grid-query pass.  Bounds the flat candidate
+#: temporaries (27 cells' members per agent) so peak memory stays flat
+#: in the population size.
+_QUERY_BLOCK = 128
+
+#: The 27 cell offsets of the 3x3x3 neighborhood, dx outermost.
+_CELL_OFFSETS = np.array(
+    [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
+    dtype=np.int64,
+)
+
+
 def _grid_neighbors(hgrid, pos: np.ndarray, m: int, r2: float):
     """The grid query pass for threads 0..m-1: per agent, the nearest-7
     ``(d2, index)`` selection over its 3x3x3 cell neighborhood.
 
     Returns ``(order, found)`` shaped (m, MAX_NEIGHBORS) — the same
     canonical nearest-first layout ``_neighbor_candidates`` produces.
-    The cell directory is rebuilt as a dict from the flat map's probe
-    table (semantically the probe sequence, minus the re-hashing).
+    The cell directory is read from the flat map's probe table as sorted
+    keys, so a block's 27-per-agent probes are one ``searchsorted``; the
+    hit CSR segments ``members[starts[s]:starts[s+1]]`` are expanded into
+    flat ``(i, j)`` candidate pairs and selected with one ``lexsort``.
+    Agents run in blocks of :data:`_QUERY_BLOCK`.
     """
-    keys_raw = hgrid.cells.keys._raw()
-    vals_raw = hgrid.cells.vals._raw()
-    occupied = keys_raw != EMPTY_KEY
-    directory = {
-        int(k): int(v) for k, v in zip(keys_raw[occupied], vals_raw[occupied])
-    }
-    members = hgrid.members._raw()
-    starts = hgrid.starts._raw()
-    edge = float(hgrid.cell_edge)
-
     order = np.zeros((m, MAX_NEIGHBORS), dtype=np.int64)
     found = np.zeros((m, MAX_NEIGHBORS), dtype=bool)
-    for i in range(m):
-        cx = axis_cell(pos[i, 0], edge)
-        cy = axis_cell(pos[i, 1], edge)
-        cz = axis_cell(pos[i, 2], edge)
-        segments = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    x, y, z = cx + dx, cy + dy, cz + dz
-                    if not (
-                        0 <= x <= _AXIS_MAX
-                        and 0 <= y <= _AXIS_MAX
-                        and 0 <= z <= _AXIS_MAX
-                    ):
-                        continue
-                    seg = directory.get(pack_cell_key(x, y, z))
-                    if seg is None:
-                        continue
-                    segments.append(
-                        members[starts[seg] : starts[seg + 1]]
-                    )
-        if segments:
-            j = np.concatenate(segments).astype(np.int64)
-        else:
-            j = np.empty(0, dtype=np.int64)
-        off = pos[i][None, :] - pos[j]
-        d2 = (off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]) + off[:, 2] * off[:, 2]
+    keys_raw = hgrid.cells.keys._raw()
+    occupied = keys_raw != EMPTY_KEY
+    by_key = np.argsort(keys_raw[occupied])
+    dir_keys = keys_raw[occupied][by_key]
+    dir_segs = hgrid.cells.vals._raw()[occupied][by_key].astype(np.int64)
+    if dir_keys.size == 0:
+        return order, found
+    members = hgrid.members._raw().astype(np.int64)
+    starts = hgrid.starts._raw().astype(np.int64)
+    cells = _axis_cells(pos[:m], float(hgrid.cell_edge))
+    x, y, z = np.ascontiguousarray(pos.T)  # 1-D gathers beat (n, 3) rows
+
+    for lo in range(0, m, _QUERY_BLOCK):
+        # 1. The 27 neighbor cells per agent, with the scalar bounds test.
+        near = cells[lo : lo + _QUERY_BLOCK, None, :] + _CELL_OFFSETS[None]
+        inside = np.all((near >= 0) & (near <= _AXIS_MAX), axis=2)
+        keys = _pack_cell_keys(near)  # garbage where not inside; masked
+        # 2. Directory lookup: sorted keys + searchsorted.
+        slot = np.minimum(np.searchsorted(dir_keys, keys), dir_keys.size - 1)
+        hit = inside & (dir_keys[slot] == keys)
+        seg = dir_segs[slot[hit]]
+        seg_start = starts[seg]
+        seg_len = starts[seg + 1] - seg_start
+        # 3. Expand the hit segments into flat (i, j) candidates.
+        agent = lo + np.nonzero(hit)[0]
+        first = np.cumsum(seg_len) - seg_len
+        i = np.repeat(agent, seg_len)
+        j = members[
+            np.arange(i.size) + np.repeat(seg_start - first, seg_len)
+        ]
+        # 4. d2 in the emulator's association (dot3 of my - other).
+        ox, oy, oz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+        d2 = (ox * ox + oy * oy) + oz * oz
         keep = (d2 < r2) & (j != i)
-        j = j[keep]
-        d2 = d2[keep]
-        # The smallest seven (d2, index) pairs — lexsort's primary key is
-        # its *last* array.
-        sel = np.lexsort((j, d2))[:MAX_NEIGHBORS]
-        k = sel.shape[0]
-        order[i, :k] = j[sel]
-        found[i, :k] = True
+        i, j, d2 = i[keep], j[keep], d2[keep]
+        # 5. Per agent, the smallest seven (d2, index) pairs — lexsort's
+        # primary key is its *last* array.
+        sel = np.lexsort((j, d2, i))
+        i, j = i[sel], j[sel]
+        rank = np.arange(i.size) - np.searchsorted(i, i)
+        kept = rank < MAX_NEIGHBORS
+        order[i[kept], rank[kept]] = j[kept]
+        found[i[kept], rank[kept]] = True
     return order, found
 
 

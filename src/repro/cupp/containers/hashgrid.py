@@ -66,15 +66,34 @@ def pack_cell_key(cx: int, cy: int, cz: int) -> int:
     return (cx << (2 * CELL_KEY_BITS)) | (cy << CELL_KEY_BITS) | cz
 
 
-def _cell_keys(positions: np.ndarray, cell_edge: float) -> np.ndarray:
-    """Vectorized packed keys for an (n, 3) position array."""
-    cells = np.floor(positions.astype(np.float64) / cell_edge).astype(np.int64)
-    cells = np.clip(cells + _AXIS_BIAS, 0, _AXIS_MAX).astype(np.uint64)
-    return (
-        (cells[:, 0] << np.uint64(2 * CELL_KEY_BITS))
-        | (cells[:, 1] << np.uint64(CELL_KEY_BITS))
-        | cells[:, 2]
+def _axis_cells(positions: np.ndarray, cell_edge: float) -> np.ndarray:
+    """:func:`axis_cell` over an (..., 3) finite position array, as int64.
+
+    The clamp runs in float64, before the int cast, so a coordinate far
+    outside the 21-bit range clamps like the scalar twin instead of
+    overflowing the cast.
+    """
+    cells = np.clip(
+        np.floor(positions.astype(np.float64) / cell_edge),
+        -_AXIS_BIAS,
+        _AXIS_MAX - _AXIS_BIAS,
     )
+    return cells.astype(np.int64) + _AXIS_BIAS
+
+
+def _pack_cell_keys(cells: np.ndarray) -> np.ndarray:
+    """:func:`pack_cell_key` over an (..., 3) array of in-range cells."""
+    cells = cells.astype(np.uint64)
+    return (
+        (cells[..., 0] << np.uint64(2 * CELL_KEY_BITS))
+        | (cells[..., 1] << np.uint64(CELL_KEY_BITS))
+        | cells[..., 2]
+    )
+
+
+def _cell_keys(positions: np.ndarray, cell_edge: float) -> np.ndarray:
+    """Vectorized packed keys for an (n, 3) finite position array."""
+    return _pack_cell_keys(_axis_cells(positions, cell_edge))
 
 
 class DeviceHashGrid:
@@ -183,8 +202,18 @@ class HashGrid:
 
         Marks any device copy stale — the next kernel consumption pays
         one ``grid-build`` upload, later consumptions are lazy hits.
+        A non-finite coordinate has no cell: it raises
+        :class:`CuppUsageError` naming the first such agent, and the grid
+        is left as it was.
         """
         positions = np.asarray(positions, dtype=np.float32).reshape(-1, 3)
+        finite = np.isfinite(positions).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise CuppUsageError(
+                f"HashGrid.build: agent {bad} has a non-finite position "
+                f"{positions[bad].tolist()}"
+            )
         keys = _cell_keys(positions, self.cell_edge)
         # Stable sort keeps same-cell agents in index order, so segment
         # scans enumerate candidates deterministically.

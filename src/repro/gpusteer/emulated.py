@@ -161,10 +161,11 @@ class EmulatedBoids:
         if over.any():
             velocity[over] *= (p.max_speed / new_speed[over])[:, None]
             new_speed[over] = p.max_speed
-        pos = pos + velocity * p.dt
+        old = pos
+        pos = old + velocity * p.dt
         outside = (pos**2).sum(axis=1) > p.world_radius**2
         if outside.any():
-            pos[outside] = -pos[outside]
+            pos[outside] = -old[outside]
         moving = new_speed > 1e-12
         fwd[moving] = velocity[moving] / new_speed[moving][:, None]
 

@@ -408,16 +408,17 @@ def modify_kernel(
         new_speed = v2 * inv  # sqrt(v2)
     yield reconv()
 
-    pos = yield from dl.ld_vec3(positions.view, i)
+    old = yield from dl.ld_vec3(positions.view, i)
     step_vec = yield from dl.scale3(velocity, dt)
-    pos = yield from dl.add3(pos, step_vec)
-    # Spherical world wrap (§5.1).
+    pos = yield from dl.add3(old, step_vec)
+    # Spherical world wrap (§5.1): re-enter at the antipode of the last
+    # in-world position.
     p2 = yield from dl.length_squared3(pos)
     yield dl.compare()
     yield dl.branch()
     if p2 > world_r * world_r:
         yield op(OpClass.FMUL, 3)
-        pos = (-pos[0], -pos[1], -pos[2])
+        pos = (-old[0], -old[1], -old[2])
     yield reconv()
     yield from dl.st_vec3(positions.view, i, pos)
 

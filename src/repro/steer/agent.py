@@ -57,11 +57,18 @@ def spawn_agents(n: int, params: BoidsParams, seed: int | None = None) -> list[A
     return agents
 
 
-def wrap_spherical(position: Vec3, world_radius: float) -> Vec3:
+def wrap_spherical(old: Vec3, position: Vec3, world_radius: float) -> Vec3:
     """§5.1: "An agent leaving the world is put back into the world at the
-    diametric opposite point."""
+    diametric opposite point."
+
+    ``position`` is the agent's new position and ``old`` its last one,
+    which was inside the world.  A new position outside the sphere is
+    replaced by ``-old``, the antipode of the last in-world position, so
+    the agent re-enters *inside* the world (negating the outside point
+    itself would leave it outside).
+    """
     if position.length_squared() > world_radius * world_radius:
-        return -position
+        return -old
     return position
 
 
@@ -83,7 +90,9 @@ def apply_steering(agent: Agent, steering: Vec3, params: BoidsParams) -> None:
         velocity = velocity * (params.max_speed / speed)
         speed = params.max_speed
     agent.position = wrap_spherical(
-        agent.position + velocity * params.dt, params.world_radius
+        agent.position,
+        agent.position + velocity * params.dt,
+        params.world_radius,
     )
     if speed > 1e-12:
         agent.forward = velocity / speed

@@ -131,10 +131,11 @@ class Simulation:
         if over.any():
             velocity[over] *= (p.max_speed / speed[over])[:, None]
             speed[over] = p.max_speed
-        self.positions = self.positions + velocity * p.dt
+        old = self.positions
+        self.positions = old + velocity * p.dt
         outside = (self.positions**2).sum(axis=1) > p.world_radius**2
         if outside.any():
-            self.positions[outside] = -self.positions[outside]
+            self.positions[outside] = -old[outside]
         moving = speed > 1e-12
         self.forwards[moving] = velocity[moving] / speed[moving][:, None]
         self.speeds = speed

@@ -63,6 +63,17 @@ class TestSuite:
         assert all(r.exact for r in reports)
 
 
+class TestGridAcrossBlocks:
+    def test_v6_bit_identical_over_several_thread_blocks(self):
+        # 256 agents at 64 threads per block: four thread blocks, and two
+        # blocks of the native twin's vectorized grid query.
+        report = run_differential(
+            6, agents=256, steps=2, seed=5, threads_per_block=64
+        )
+        assert report.ok, report.to_dict()
+        assert report.exact, report.to_dict()
+
+
 @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 class TestCounterConformance:
     """Profiler counters must not depend on the execution substrate.

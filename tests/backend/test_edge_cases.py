@@ -12,8 +12,17 @@ import pytest
 
 from repro.backend.base import BACKEND_KINDS
 from repro.cuda import CudaMachine, global_
-from repro.cupp import ConstRef, Device, DeviceVector, Kernel, Ref, Vector
+from repro.cupp import (
+    ConstRef,
+    CuppUsageError,
+    Device,
+    DeviceVector,
+    Kernel,
+    Ref,
+    Vector,
+)
 from repro.cupp.multidevice import DeviceGroup
+from repro.gpusteer import EmulatedBoids
 from repro.gpusteer.kernels_emu import MAX_NEIGHBORS, NO_NEIGHBOR, find_neighbors_v1
 from repro.simgpu import OpClass
 from repro.simgpu import devicelib as dl
@@ -114,3 +123,25 @@ class TestConstArguments:
         np.testing.assert_array_equal(
             out.to_numpy(), np.full(4, 6.0, np.float32)
         )
+
+
+class TestNonFiniteGridInput:
+    def test_both_backends_reject_before_any_launch(self):
+        """A NaN position reaches v6's HashGrid.build, which refuses it
+        with the same usage error on both backends before the step
+        launches a kernel."""
+        messages = {}
+        for kind in BACKEND_KINDS:
+            dev = Device(backend=kind)
+            eb = EmulatedBoids(32, 6, seed=3, device=dev, threads_per_block=16)
+            eb.step()
+            pos = eb.snapshot()["positions"].copy()
+            pos[5, 1] = np.nan
+            eb._write_vec3(eb.positions, pos)
+            launches = dev.runtime.launch_count
+            with pytest.raises(CuppUsageError, match=r"agent 5 ") as info:
+                eb.step()
+            assert dev.runtime.launch_count == launches
+            assert eb.step_count == 1
+            messages[kind] = str(info.value)
+        assert len(set(messages.values())) == 1

@@ -225,6 +225,31 @@ class TestHashGridInvariants:
             )
             assert int(key) == expected
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_build_rejects_non_finite_positions(self, bad):
+        grid = HashGrid(cell_edge=9.0)
+        grid.build(np.zeros((3, 3), np.float32))
+        positions = np.zeros((6, 3), np.float32)
+        positions[4, 2] = bad
+        positions[5, 0] = np.nan
+        with pytest.raises(CuppUsageError, match=r"agent 4 "):
+            grid.build(positions)
+        assert grid.agent_count == 3  # the previous build is kept
+
+    def test_far_coordinates_clamp_like_the_scalar_twin(self):
+        # Beyond the 21-bit axis range the float clamp must agree with
+        # axis_cell instead of overflowing the int cast.
+        edge = 9.0
+        positions = np.array(
+            [[3e38, -3e38, 1e20], [-1e30, 0.0, 9e18]], np.float32
+        )
+        for row, key in zip(positions, _cell_keys(positions, edge)):
+            assert int(key) == pack_cell_key(
+                axis_cell(row[0], edge),
+                axis_cell(row[1], edge),
+                axis_cell(row[2], edge),
+            )
+
     def test_members_of_missing_cell_is_empty(self):
         grid = HashGrid(cell_edge=1.0)
         grid.build(np.zeros((4, 3), np.float32))

@@ -71,16 +71,104 @@ class TestVehicleModel:
 class TestWorldWrap:
     def test_inside_unchanged(self):
         p = Vec3(10, 0, 0)
-        assert wrap_spherical(p, 50.0) == p
+        assert wrap_spherical(Vec3(9, 0, 0), p, 50.0) == p
 
     def test_outside_mirrors_to_opposite_point(self):
-        # §5.1: re-enter at the diametric opposite point.
+        # §5.1: re-enter at the diametric opposite point — the antipode
+        # of the last in-world position, so the agent is back *inside*.
+        old = Vec3(49.5, 0, 0)
         p = Vec3(51, 0, 0)
-        assert wrap_spherical(p, 50.0) == Vec3(-51, 0, 0)
+        assert wrap_spherical(old, p, 50.0) == Vec3(-49.5, 0, 0)
 
     def test_boundary_is_inside(self):
         p = Vec3(50, 0, 0)
-        assert wrap_spherical(p, 50.0) == p
+        assert wrap_spherical(Vec3(49, 0, 0), p, 50.0) == p
+
+    @pytest.mark.parametrize(
+        "impl", ["agent", "simulation", "host-v4", "sim-v5", "native-v5"]
+    )
+    def test_leaving_agent_stays_in_world(self, impl):
+        # Sixteen agents just inside the sphere fly radially outward at
+        # max speed, so every one of them leaves on the first step.  In
+        # each of the five wrap sites the state stays within the world
+        # radius (plus float32 rounding) after every step.
+        states = _step_positions(impl, *_leaving_state(16), steps=6)
+        assert len(states) == 6
+        for p in states:
+            radii = np.linalg.norm(p, axis=1)
+            assert radii.max() <= PARAMS.world_radius * (1 + 1e-6)
+
+    @pytest.mark.parametrize(
+        "pair", [("agent", "simulation"), ("sim-v5", "native-v5")]
+    )
+    def test_wrap_keeps_twins_bit_identical(self, pair):
+        a, b = (_step_positions(impl, *_leaving_state(16), steps=6)
+                for impl in pair)
+        for pa, pb in zip(a, b):
+            np.testing.assert_array_equal(pa, pb)
+
+
+def _leaving_state(n):
+    """Radially outward agents at max speed, half a step inside R."""
+    k = np.arange(n) + 0.5
+    polar = np.arccos(1 - 2 * k / n)
+    azimuth = np.pi * (1 + 5**0.5) * k
+    fwd = np.stack(
+        [
+            np.sin(polar) * np.cos(azimuth),
+            np.sin(polar) * np.sin(azimuth),
+            np.cos(polar),
+        ],
+        axis=1,
+    )
+    fwd /= np.linalg.norm(fwd, axis=1)[:, None]
+    radius = PARAMS.world_radius - 0.5 * PARAMS.max_speed * PARAMS.dt
+    return fwd * radius, fwd
+
+
+def _step_positions(impl, pos, fwd, steps):
+    """Per-step (n, 3) float64 positions of one wrap implementation."""
+    n = pos.shape[0]
+    states = []
+    if impl == "agent":
+        ref = ReferenceSimulation(n, PARAMS, seed=0)
+        for agent, p, f in zip(ref.agents, pos, fwd):
+            agent.position, agent.forward = Vec3(*p), Vec3(*f)
+            agent.speed = PARAMS.max_speed
+        for _ in range(steps):
+            ref.update()
+            states.append(
+                np.array([a.position.as_tuple() for a in ref.agents])
+            )
+        return states
+    if impl == "simulation":
+        sim = Simulation(n, PARAMS, seed=0)
+        sim.positions, sim.forwards = pos.copy(), fwd.copy()
+        sim.speeds = np.full(n, PARAMS.max_speed)
+        for _ in range(steps):
+            sim.update()
+            states.append(sim.positions.copy())
+        return states
+    from repro.cupp import Device
+    from repro.gpusteer import EmulatedBoids
+
+    backend, version = {
+        "host-v4": ("native", 4),
+        "sim-v5": ("sim", 5),
+        "native-v5": ("native", 5),
+    }[impl]
+    eb = EmulatedBoids(
+        n, version, PARAMS, seed=0, device=Device(backend=backend),
+        threads_per_block=16,
+    )
+    eb._write_vec3(eb.positions, pos)
+    eb._write_vec3(eb.forwards, fwd)
+    for i in range(n):
+        eb.speeds[i] = PARAMS.max_speed
+    for _ in range(steps):
+        eb.step()
+        states.append(eb.snapshot()["positions"].astype(np.float64))
+    return states
 
 
 class TestSpawn:
