@@ -39,6 +39,7 @@ from repro.common.errors import ConfigurationError
 if TYPE_CHECKING:  # annotations only — simgpu.device subclasses us,
     from repro.simgpu.arch import ArchSpec  # so no runtime simgpu import
     from repro.simgpu.dims import Dim3
+    from repro.simgpu.profile import InstructionProfile
     from repro.simgpu.transfer import PcieModel
 
 #: The backend kinds a :class:`cupp.Device` / ``CudaMachine`` accepts.
@@ -115,7 +116,6 @@ class ExecutionBackend:
         self.memory = DeviceMemory(arch.device_memory_bytes)
         self.constant = ConstantMemory(arch.constant_mem_bytes)
         self.timeline = DeviceTimeline(pcie or PcieModel())
-        self.launches: list = []
         #: Optional :class:`repro.fault.FaultInjector` consulted by the
         #: CUDA runtime's alloc/launch/memcpy entry points.  ``None``
         #: (the default) keeps every fault path completely inert.
@@ -165,6 +165,43 @@ class ExecutionBackend:
     def duration_s(self, result, registers_per_thread: int = 10) -> float:
         """Seconds one launch occupies the device, on this backend's clock."""
         raise NotImplementedError
+
+    def _run_simt(
+        self,
+        kernel_fn: Callable,
+        grid_dim: "Dim3",
+        block_dim: "Dim3",
+        args: tuple,
+        strict_sync: bool,
+    ) -> "tuple[InstructionProfile, int]":
+        """One SIMT pass over the grid, block by block on the warp
+        emulator: the merged instruction profile and the peak per-block
+        shared footprint.  The sim backend's execution path, and the
+        native backend's fallback and counter-replay pass."""
+        from repro.simgpu.block import ThreadBlock
+        from repro.simgpu.dims import Dim3
+        from repro.simgpu.profile import InstructionProfile
+
+        profile = InstructionProfile()
+        shared_bytes = 0
+        for by in range(grid_dim.y):
+            for bx in range(grid_dim.x):
+                block = ThreadBlock(
+                    kernel_fn,
+                    args,
+                    Dim3(bx, by, 1),
+                    block_dim,
+                    grid_dim,
+                    self.arch,
+                    strict_sync=strict_sync,
+                    device_memory=self.memory,
+                )
+                try:
+                    block.run(profile)
+                finally:
+                    block.release_local_memory()
+                shared_bytes = max(shared_bytes, block.shared_bytes_used)
+        return profile, shared_bytes
 
     # ------------------------------------------------------------------
     def properties(self) -> dict[str, object]:

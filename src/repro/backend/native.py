@@ -33,7 +33,6 @@ from typing import Callable
 from repro.backend.base import ExecutionBackend
 from repro.prof import hook as prof_hook
 from repro.simgpu.arch import ArchSpec, G80_8800GTS
-from repro.simgpu.block import ThreadBlock
 from repro.simgpu.dims import Dim3, as_dim3
 from repro.simgpu.profile import InstructionProfile
 from repro.simgpu.transfer import PcieModel
@@ -185,7 +184,7 @@ class NativeDevice(ExecutionBackend):
                 self.memory.restore_contents(snapshot)
             start = time.perf_counter()
             impl(self, grid_dim, block_dim, args)
-            result = NativeLaunchResult(
+            return NativeLaunchResult(
                 grid_dim=grid_dim,
                 block_dim=block_dim,
                 elapsed_s=time.perf_counter() - start,
@@ -194,57 +193,22 @@ class NativeDevice(ExecutionBackend):
                 profile=profile,
                 shared_bytes_per_block=shared_bytes or 0,
             )
-        else:
-            # SIMT fallback: thread-by-thread execution for correctness.
-            # The profile is kept for introspection but carries no cost
-            # meaning here — duration_s reports wall-clock either way.
-            start = time.perf_counter()
-            profile, shared_bytes = self._run_simt(
-                kernel_fn, grid_dim, block_dim, args, strict_sync
-            )
-            result = NativeLaunchResult(
-                grid_dim=grid_dim,
-                block_dim=block_dim,
-                elapsed_s=time.perf_counter() - start,
-                vectorized=False,
-                kernel_name=name,
-                profile=profile,
-                shared_bytes_per_block=shared_bytes,
-            )
-        self.launches.append(result)
-        return result
-
-    def _run_simt(
-        self,
-        kernel_fn: Callable,
-        grid_dim: Dim3,
-        block_dim: Dim3,
-        args: tuple,
-        strict_sync: bool,
-    ) -> "tuple[InstructionProfile, int]":
-        """One SIMT pass over the grid: the merged profile and the peak
-        per-block shared footprint (the fallback execution path, also
-        used as the profiler's counter-replay pass)."""
-        profile = InstructionProfile()
-        shared_bytes = 0
-        for by in range(grid_dim.y):
-            for bx in range(grid_dim.x):
-                block = ThreadBlock(
-                    kernel_fn,
-                    args,
-                    Dim3(bx, by, 1),
-                    block_dim,
-                    grid_dim,
-                    self.arch,
-                    strict_sync=strict_sync,
-                    device_memory=self.memory,
-                )
-                try:
-                    block.run(profile)
-                finally:
-                    block.release_local_memory()
-                shared_bytes = max(shared_bytes, block.shared_bytes_used)
-        return profile, shared_bytes
+        # SIMT fallback: thread-by-thread execution for correctness.
+        # The profile is kept for introspection but carries no cost
+        # meaning here — duration_s reports wall-clock either way.
+        start = time.perf_counter()
+        profile, shared_bytes = self._run_simt(
+            kernel_fn, grid_dim, block_dim, args, strict_sync
+        )
+        return NativeLaunchResult(
+            grid_dim=grid_dim,
+            block_dim=block_dim,
+            elapsed_s=time.perf_counter() - start,
+            vectorized=False,
+            kernel_name=name,
+            profile=profile,
+            shared_bytes_per_block=shared_bytes,
+        )
 
     # ------------------------------------------------------------------
     def duration_s(

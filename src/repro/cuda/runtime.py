@@ -599,7 +599,8 @@ class CudaRuntime(GlInteropMixin):
                     # (other streams may still make progress).
                     if stream is not None:
                         self.device.timeline.stream_launch(
-                            stream.sim, injector.config.hang_latency_s
+                            stream.sim, 0.0,
+                            wedged_s=injector.config.hang_latency_s,
                         )
                     else:
                         self.device.timeline.launch_kernel(

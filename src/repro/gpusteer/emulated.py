@@ -39,7 +39,7 @@ from repro.gpusteer.kernels_emu import (
 from repro.steer.agent import spawn_agents
 from repro.steer.behaviors import flocking_np
 from repro.steer.params import BoidsParams, DEFAULT_PARAMS
-from repro.steer.simulation import _truncate_rows
+from repro.steer.simulation import draw_matrices_np, modification_np
 
 
 class EmulatedBoids:
@@ -139,36 +139,16 @@ class EmulatedBoids:
         self._write_vec3(self.steering, steer)
 
     def _host_modification(self) -> None:
-        """Versions 1-4: the modification substage on the host (vectorized
-        twin of the modify kernel, float64 on the host as in OpenSteer)."""
-        p = self.params
+        """Versions 1-4: the modification substage on the host (float64
+        on the host as in OpenSteer)."""
         pos, fwd = self._host_arrays()
-        speed = self.speeds.to_numpy().astype(np.float64)
-        steer = self.steering.to_numpy().reshape(self.n, 3).astype(np.float64)
-        smooth_old = (
-            self.smoothed.to_numpy().reshape(self.n, 3).astype(np.float64)
+        pos, fwd, new_speed, smooth = modification_np(
+            pos, fwd,
+            self.speeds.to_numpy().astype(np.float64),
+            self.steering.to_numpy().reshape(self.n, 3).astype(np.float64),
+            self.smoothed.to_numpy().reshape(self.n, 3).astype(np.float64),
+            self.params, self.step_count == 0,
         )
-
-        force = _truncate_rows(steer, p.max_force)
-        accel = force / p.mass
-        if self.step_count == 0:
-            smooth = accel
-        else:
-            smooth = smooth_old * (1.0 - p.accel_smoothing) + accel * p.accel_smoothing
-        velocity = fwd * speed[:, None] + smooth * p.dt
-        new_speed = np.linalg.norm(velocity, axis=1)
-        over = new_speed > p.max_speed
-        if over.any():
-            velocity[over] *= (p.max_speed / new_speed[over])[:, None]
-            new_speed[over] = p.max_speed
-        old = pos
-        pos = old + velocity * p.dt
-        outside = (pos**2).sum(axis=1) > p.world_radius**2
-        if outside.any():
-            pos[outside] = -old[outside]
-        moving = new_speed > 1e-12
-        fwd[moving] = velocity[moving] / new_speed[moving][:, None]
-
         self._write_vec3(self.positions, pos)
         self._write_vec3(self.forwards, fwd)
         self._write_vec3(self.smoothed, smooth)
@@ -263,21 +243,7 @@ class EmulatedBoids:
             return self.matrices.to_numpy().reshape(self.n, 4, 4)
         # Versions 1-4 build the matrices on the host.
         pos, fwd = self._host_arrays()
-        mats = np.zeros((self.n, 4, 4), np.float32)
-        up_hint = np.where(
-            (np.abs(fwd[:, 1]) < 0.99)[:, None],
-            np.array([0.0, 1.0, 0.0]),
-            np.array([1.0, 0.0, 0.0]),
-        )
-        side = np.cross(fwd, up_hint)
-        side /= np.maximum(np.linalg.norm(side, axis=1, keepdims=True), 1e-12)
-        up = np.cross(side, fwd)
-        mats[:, 0, :3] = side
-        mats[:, 1, :3] = up
-        mats[:, 2, :3] = fwd
-        mats[:, 3, :3] = pos
-        mats[:, 3, 3] = 1.0
-        return mats
+        return draw_matrices_np(pos, fwd, np.float32)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, np.ndarray]:

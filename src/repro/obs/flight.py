@@ -29,11 +29,15 @@ primitive — a propagated per-request **trace context** on the service's
   a deterministic 1-in-N head sample.  Retention is capped
   (``max_retained``), evicting head samples before interesting traces,
   oldest first — memory stays bounded no matter how long the run.
-* The **per-device timeline profiler** folds the scheduler's device
-  events (kernel busy, bus transfers, injected wedges) into utilization
-  tracks: Chrome-trace rows on named per-device threads
-  (:func:`device_chrome_trace`), a text gantt (:func:`render_gantt`),
-  and busy/transfer/wedged/idle shares (:func:`device_utilization`).
+* The **per-device timeline profiler** subscribes to each device's
+  :class:`~repro.simgpu.transfer.DeviceTimeline` (:meth:`FlightRecorder
+  .watch`): every ``StreamOp`` the timeline schedules becomes a device
+  event (copies are transfers, kernels busy time, an injected hang's
+  tail wedged time), so the recorder holds no second record of device
+  time.  The events fold into utilization tracks: Chrome-trace rows on
+  named per-device threads (:func:`device_chrome_trace`), a text gantt
+  (:func:`render_gantt`), and busy/transfer/wedged/idle shares
+  (:func:`device_utilization`).
 
 Everything here is pure bookkeeping on explicitly passed virtual
 timestamps — recording never touches a clock, never draws randomness,
@@ -46,6 +50,7 @@ full waterfall.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections import deque
@@ -181,8 +186,10 @@ class DeviceEvent:
     """One interval on a device's utilization track.
 
     ``stream`` tags the interval with the stream that scheduled it
-    (``None`` for serial null-stream work); consumers split tagged
-    events into per-stream sub-tracks so overlap is visible.
+    (``None`` marks an untagged interval); consumers split tagged
+    events into per-stream sub-tracks so overlap is visible.  Intervals
+    painted from a timeline's stream ops carry the op's track
+    (``copy``, ``compute<k>``) as their ``label``.
     """
 
     device: int
@@ -336,24 +343,26 @@ class FlightRecorder:
             self._batches.pop(next(iter(self._batches)))
         return span
 
-    def device_event(
-        self,
-        device: int,
-        kind: str,
-        start_s: float,
-        end_s: float,
-        label: str = "",
-        stream: "int | None" = None,
-    ) -> None:
-        """Record one interval on a device's utilization track (tagged
-        with its scheduling ``stream`` for overlapped work)."""
-        if kind not in DEVICE_TRACK_KINDS:
-            raise ValueError(
-                f"unknown device track kind {kind!r}; one of {DEVICE_TRACK_KINDS}"
-            )
-        self.device_events.append(
-            DeviceEvent(device, kind, start_s, end_s, label, stream)
-        )
+    def watch(self, timeline, device: int) -> None:
+        """Subscribe to ``timeline``'s stream ops as ``device``'s
+        utilization tracks (sets the timeline's one observer)."""
+        timeline.observer = functools.partial(self.record_op, device)
+
+    def record_op(self, device: int, op) -> None:
+        """Paint one :class:`~repro.simgpu.transfer.StreamOp` onto
+        ``device``'s tracks: a copy is ``transfer``, a kernel ``busy``
+        up to where an injected hang starts and ``wedged`` after it.
+        Zero-length intervals (launch-cost-only launches) are skipped;
+        each interval's label is the op's track."""
+        work_end = op.end_s if op.wedged_from_s is None else op.wedged_from_s
+        work = "transfer" if op.kind == "copy" else "busy"
+        for kind, start, end in (
+            (work, op.start_s, work_end), ("wedged", work_end, op.end_s)
+        ):
+            if end > start:
+                self.device_events.append(
+                    DeviceEvent(device, kind, start, end, op.track, op.stream_id)
+                )
 
     # ------------------------------------------------------------------
     # the tail-sampling verdict

@@ -182,10 +182,6 @@ class DeviceScheduler:
         #: service when chaos is configured); consulted once per
         #: sub-batch launch and once per result fetch.
         self.injector = None
-        #: Optional :class:`repro.obs.flight.FlightRecorder` (set by the
-        #: service); when present, launch/finish record busy/transfer/
-        #: wedged intervals onto per-device utilization tracks.
-        self.flight = None
 
     # ------------------------------------------------------------------
     @property
@@ -430,7 +426,7 @@ class DeviceScheduler:
                 staging = device.alloc(nbytes)
                 copy = self._copy_streams[sub.device_index]
                 compute = self._compute_streams[sub.device_index]
-                op = tl.stream_memcpy(copy, nbytes)
+                tl.stream_memcpy(copy, nbytes)
                 obs.record_transfer(
                     "batch-concat", "h2d", nbytes, label="serve.session-upload"
                 )
@@ -454,11 +450,6 @@ class DeviceScheduler:
                         0,
                         moved=False,
                         label="serve.kernels<-upload",
-                    )
-                if self.flight is not None:
-                    self.flight.device_event(
-                        sub.device_index, "transfer", op.start_s, op.end_s,
-                        label="h2d", stream=op.stream_id,
                     )
                 device.free(staging)
                 for session in cold:
@@ -504,23 +495,11 @@ class DeviceScheduler:
         compute = self._compute_streams[sub.device_index]
         for _ in range(LAUNCHES_PER_BATCH - 1):
             tl.stream_launch(compute, 0.0)  # launch cost only
-        op = tl.stream_launch(compute, kernel_s + hang_s)
+        op = tl.stream_launch(compute, kernel_s, wedged_s=hang_s)
         obs.counter("repro.serve.launches").inc(LAUNCHES_PER_BATCH)
         self.inflight_count[sub.device_index] += 1
         sub.completion_s = op.end_s
         sub.expected_completion_s = op.end_s - hang_s
-        if self.flight is not None:
-            # An injected hang extends the kernel's occupancy but is
-            # *wedged* time, painted separately so the gantt shows it.
-            self.flight.device_event(
-                sub.device_index, "busy", op.start_s, op.start_s + kernel_s,
-                label="step-kernels", stream=op.stream_id,
-            )
-            if hang_s > 0.0:
-                self.flight.device_event(
-                    sub.device_index, "wedged", op.start_s + kernel_s,
-                    op.end_s, label="injected-hang", stream=op.stream_id,
-                )
         return sub.completion_s
 
     def finish(self, sub: SubBatch, engine: StepEngine, now: float) -> float:
@@ -539,16 +518,11 @@ class DeviceScheduler:
         # a synchronous cudaMemcpy.  Either way the host then blocks on
         # the stream: it needs the payload to demux.
         copy = self._copy_streams[sub.device_index]
-        op = tl.stream_memcpy(copy, nbytes)
+        tl.stream_memcpy(copy, nbytes)
         tl.stream_synchronize(copy)
         obs.record_transfer(
             "batch-split", "d2h", nbytes, label="serve.draw-matrices"
         )
-        if self.flight is not None:
-            self.flight.device_event(
-                sub.device_index, "transfer", op.start_s, op.end_s,
-                label="d2h", stream=op.stream_id,
-            )
         # Fault consult: one draw per result fetch.  A corrupt fetch
         # still paid for the bytes (charged above), but the payload is
         # garbage — discard it, release the device, and let the service

@@ -279,12 +279,14 @@ class SimulationService:
         Every subsequent :meth:`submit` mints a
         :class:`~repro.obs.flight.TraceContext` that rides on the
         request through admission, batching, scheduling, and every
-        retry/failover hop; the scheduler additionally feeds the
-        recorder's per-device utilization tracks.  The recorder's
-        tail-sampling policy decides which finished traces survive.
+        retry/failover hop, and the recorder watches each device's
+        timeline, so every stream op it schedules lands on that device's
+        utilization tracks.  The recorder's tail-sampling policy decides
+        which finished traces survive.
         """
         self.flight = recorder
-        self.scheduler.flight = recorder
+        for device_index, timeline in enumerate(self.scheduler.timelines):
+            recorder.watch(timeline, device_index)
         self.admission.outcome_listener = self._on_admission_outcome
 
     def _on_admission_outcome(

@@ -24,7 +24,6 @@ from typing import Callable
 
 from repro.backend.base import ExecutionBackend
 from repro.simgpu.arch import ArchSpec, G80_8800GTS
-from repro.simgpu.block import ThreadBlock
 from repro.simgpu.costs import CostTable, G80_COSTS
 from repro.simgpu.dims import Dim3, as_dim3
 from repro.simgpu.multiprocessor import Occupancy, compute_occupancy
@@ -97,41 +96,22 @@ class SimDevice(ExecutionBackend):
         block_dim = as_dim3(block_dim)
         self.validate_launch(grid_dim, block_dim)
 
-        profile = InstructionProfile()
-        shared_bytes = 0
-        for by in range(grid_dim.y):
-            for bx in range(grid_dim.x):
-                block = ThreadBlock(
-                    kernel_fn,
-                    args,
-                    Dim3(bx, by, 1),
-                    block_dim,
-                    grid_dim,
-                    self.arch,
-                    strict_sync=strict_sync,
-                    device_memory=self.memory,
-                )
-                try:
-                    block.run(profile)
-                finally:
-                    block.release_local_memory()
-                shared_bytes = max(shared_bytes, block.shared_bytes_used)
-
+        profile, shared_bytes = self._run_simt(
+            kernel_fn, grid_dim, block_dim, args, strict_sync
+        )
         occupancy = compute_occupancy(
             self.arch,
             block_dim.volume,
             shared_bytes,
             registers_per_thread,
         )
-        result = LaunchResult(
+        return LaunchResult(
             grid_dim=grid_dim,
             block_dim=block_dim,
             profile=profile,
             occupancy=occupancy,
             shared_bytes_per_block=shared_bytes,
         )
-        self.launches.append(result)
-        return result
 
     # ------------------------------------------------------------------
     def duration_s(self, result: LaunchResult, registers_per_thread: int = 10) -> float:

@@ -27,7 +27,10 @@ overlap whenever distinct tracks are free.  An event records the
 completion time of everything submitted to its stream so far, and a
 ``stream_wait_event`` dependency resolves as the max of the waiting
 stream's own front and the event's timestamp — i.e. dependent work starts
-at the max of its predecessors' completions.
+at the max of its predecessors' completions.  Every stream op is returned
+as a :class:`StreamOp` and handed to the timeline's optional
+``observer``: the one record of stream device time, which the flight
+recorder's device tracks subscribe to.
 
 Zero-byte copies
 ----------------
@@ -109,9 +112,10 @@ class StreamOp:
     """The scheduled interval of one stream operation.
 
     Returned by :meth:`DeviceTimeline.stream_launch` /
-    :meth:`DeviceTimeline.stream_memcpy` so callers (flight recorder,
-    schedulers) can paint per-stream utilization tracks without the
-    timeline retaining history.
+    :meth:`DeviceTimeline.stream_memcpy` and handed to the timeline's
+    :attr:`~DeviceTimeline.observer`, so subscribers (the flight
+    recorder's device tracks) see every interval without the timeline
+    retaining history.
     """
 
     kind: str  # "kernel" | "copy"
@@ -119,6 +123,10 @@ class StreamOp:
     track: str  # "copy" or "compute<k>"
     start_s: float
     end_s: float
+    #: Where an injected hang starts wedging the track (``None`` for a
+    #: healthy op): the kernel's own work is ``[start_s, wedged_from_s]``,
+    #: the wedge ``[wedged_from_s, end_s]``.
+    wedged_from_s: "float | None" = None
 
     @property
     def duration_s(self) -> float:
@@ -160,6 +168,10 @@ class DeviceTimeline:
         self._compute_busy_until = [0.0] * compute_track_count
         self._streams: list[Stream] = []
         self._events: list[Event] = []
+        #: Optional callable handed every :class:`StreamOp` the stream
+        #: API schedules — the one record of stream device time that
+        #: observers (the flight recorder) subscribe to.  ``None`` = off.
+        self.observer = None
 
     # -- device clock ---------------------------------------------------
     @property
@@ -263,10 +275,16 @@ class DeviceTimeline:
         # work (the null stream synchronizes with everything).
         return max(stream.ready_s, self.host_time, self._serial_busy_until)
 
-    def stream_launch(self, stream: Stream, duration_s: float) -> StreamOp:
+    def stream_launch(
+        self, stream: Stream, duration_s: float, *, wedged_s: float = 0.0
+    ) -> StreamOp:
         """Enqueue a kernel on ``stream``; picks the earliest-free compute
         track.  Kernels on the same stream serialize; kernels on distinct
-        streams overlap when distinct tracks are free."""
+        streams overlap when distinct tracks are free.
+
+        ``wedged_s`` models an injected hang: the track stays occupied
+        that long after the kernel's ``duration_s`` of work, and the op
+        records where the wedge starts."""
         self._check_stream(stream)
         self.host_time += self.launch_overhead_s
         ready = self._stream_front(stream)
@@ -275,10 +293,16 @@ class DeviceTimeline:
             key=lambda i: self._compute_busy_until[i],
         )
         start = max(ready, self._compute_busy_until[track])
-        end = start + duration_s
+        end = start + (duration_s + wedged_s)
         self._compute_busy_until[track] = end
         stream.ready_s = end
-        return StreamOp("kernel", stream.stream_id, f"compute{track}", start, end)
+        op = StreamOp(
+            "kernel", stream.stream_id, f"compute{track}", start, end,
+            start + duration_s if wedged_s > 0.0 else None,
+        )
+        if self.observer is not None:
+            self.observer(op)
+        return op
 
     def stream_memcpy(self, stream: Stream, nbytes: int) -> StreamOp:
         """Enqueue an async copy on ``stream`` (``cudaMemcpyAsync``).
@@ -300,7 +324,10 @@ class DeviceTimeline:
         if nbytes:
             self._copy_busy_until = end
         stream.ready_s = end
-        return StreamOp("copy", stream.stream_id, "copy", start, end)
+        op = StreamOp("copy", stream.stream_id, "copy", start, end)
+        if self.observer is not None:
+            self.observer(op)
+        return op
 
     def record_event(self, event: Event, stream: "Stream | None" = None) -> float:
         """Record ``event`` after the work currently in ``stream``

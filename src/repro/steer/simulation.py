@@ -115,31 +115,12 @@ class Simulation:
     def modification_substage(self) -> None:
         """Apply cached steering vectors to every agent (vectorized twin
         of :func:`repro.steer.agent.apply_steering`)."""
-        p = self.params
-        force = _truncate_rows(self.steering, p.max_force)
-        accel = force / p.mass
-        if self.step_count == 0:
-            smoothed = accel
-        else:
-            s = p.accel_smoothing
-            smoothed = self.smoothed_accel * (1.0 - s) + accel * s
-        self.smoothed_accel = smoothed
-
-        velocity = self.forwards * self.speeds[:, None] + smoothed * p.dt
-        speed = np.linalg.norm(velocity, axis=1)
-        over = speed > p.max_speed
-        if over.any():
-            velocity[over] *= (p.max_speed / speed[over])[:, None]
-            speed[over] = p.max_speed
-        old = self.positions
-        self.positions = old + velocity * p.dt
-        outside = (self.positions**2).sum(axis=1) > p.world_radius**2
-        if outside.any():
-            self.positions[outside] = -old[outside]
-        moving = speed > 1e-12
-        self.forwards[moving] = velocity[moving] / speed[moving][:, None]
-        self.speeds = speed
-
+        self.positions, self.forwards, self.speeds, self.smoothed_accel = (
+            modification_np(
+                self.positions, self.forwards, self.speeds, self.steering,
+                self.smoothed_accel, self.params, self.step_count == 0,
+            )
+        )
         self.profile.add(
             "modification", self.cpu_model.modification_cycles(self.n)
         )
@@ -147,21 +128,7 @@ class Simulation:
     def draw_stage(self) -> np.ndarray:
         """Build the per-agent 4x4 draw matrices (the data the GPU port
         ships back to the host, §6.2.3)."""
-        f = self.forwards
-        up_hint = np.where(
-            (np.abs(f[:, 1]) < 0.99)[:, None],
-            np.array([0.0, 1.0, 0.0]),
-            np.array([1.0, 0.0, 0.0]),
-        )
-        side = np.cross(f, up_hint)
-        side /= np.maximum(np.linalg.norm(side, axis=1, keepdims=True), 1e-12)
-        up = np.cross(side, f)
-        mats = np.zeros((self.n, 4, 4))
-        mats[:, 0, :3] = side
-        mats[:, 1, :3] = up
-        mats[:, 2, :3] = f
-        mats[:, 3, :3] = self.positions
-        mats[:, 3, 3] = 1.0
+        mats = draw_matrices_np(self.positions, self.forwards)
         self.profile.add("draw", self.cpu_model.draw_cycles(self.n))
         return mats
 
@@ -255,3 +222,68 @@ def _truncate_rows(v: np.ndarray, max_length: float) -> np.ndarray:
     if over.any():
         out[over] *= (max_length / norms[over])[:, None]
     return out
+
+
+def modification_np(
+    positions: np.ndarray,
+    forwards: np.ndarray,
+    speeds: np.ndarray,
+    steering: np.ndarray,
+    smoothed: np.ndarray,
+    params: BoidsParams,
+    first_step: bool,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """The modification substage over ``(n, 3)`` column arrays: truncate
+    the steering force, smooth the acceleration, clamp the speed, move,
+    and re-enter agents that leave the world at the antipode of their
+    last in-world position (§5.1).
+
+    Returns ``(positions, forwards, speeds, smoothed)``; ``forwards`` is
+    updated in place.  :class:`Simulation` and the emulated v1-4
+    pipelines both run their host modification through it.
+    """
+    p = params
+    force = _truncate_rows(steering, p.max_force)
+    accel = force / p.mass
+    if first_step:
+        smoothed = accel
+    else:
+        s = p.accel_smoothing
+        smoothed = smoothed * (1.0 - s) + accel * s
+
+    velocity = forwards * speeds[:, None] + smoothed * p.dt
+    speed = np.linalg.norm(velocity, axis=1)
+    over = speed > p.max_speed
+    if over.any():
+        velocity[over] *= (p.max_speed / speed[over])[:, None]
+        speed[over] = p.max_speed
+    moved = positions + velocity * p.dt
+    outside = (moved**2).sum(axis=1) > p.world_radius**2
+    if outside.any():
+        moved[outside] = -positions[outside]
+    moving = speed > 1e-12
+    forwards[moving] = velocity[moving] / speed[moving][:, None]
+    return moved, forwards, speed, smoothed
+
+
+def draw_matrices_np(
+    positions: np.ndarray, forwards: np.ndarray, dtype=np.float64
+) -> np.ndarray:
+    """The per-agent 4x4 draw matrices (side, up, forward, position rows)
+    built on the host from ``(n, 3)`` column arrays."""
+    f = forwards
+    up_hint = np.where(
+        (np.abs(f[:, 1]) < 0.99)[:, None],
+        np.array([0.0, 1.0, 0.0]),
+        np.array([1.0, 0.0, 0.0]),
+    )
+    side = np.cross(f, up_hint)
+    side /= np.maximum(np.linalg.norm(side, axis=1, keepdims=True), 1e-12)
+    up = np.cross(side, f)
+    mats = np.zeros((f.shape[0], 4, 4), dtype)
+    mats[:, 0, :3] = side
+    mats[:, 1, :3] = up
+    mats[:, 2, :3] = f
+    mats[:, 3, :3] = positions
+    mats[:, 3, 3] = 1.0
+    return mats

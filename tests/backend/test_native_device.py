@@ -121,7 +121,7 @@ class TestNativeExecution:
         src = Vector(np.ones(8, np.float32), dtype=np.float32)
         out = Vector(np.zeros(8, np.float32), dtype=np.float32)
         Kernel(_double, 1, 8)(dev, src, out)
-        result = dev.backend.launches[-1]
+        result = dev.runtime.last_launch
         assert result.elapsed_s > 0.0
         assert dev.backend.duration_s(result) == result.elapsed_s
 

@@ -13,6 +13,7 @@ from repro.obs.flight import (
     render_gantt,
 )
 from repro.obs.metrics import Histogram, Window
+from repro.simgpu.transfer import DeviceTimeline
 
 
 class TestSpansAndLinks:
@@ -164,7 +165,9 @@ class TestTailSampling:
         ctx.root = fl.start(ctx, "request", 0.0, request=3)
         fl.end(ctx.root, 1.0)
         fl.finish(ctx, 1.0)
-        fl.device_event(0, "busy", 0.0, 1.0, label="k")
+        timeline = DeviceTimeline()
+        fl.watch(timeline, 0)
+        timeline.stream_launch(timeline.create_stream(), 1.0)
         path = tmp_path / "flight.json"
         doc = fl.write(str(path))
         loaded = load_flight(str(path))
@@ -172,7 +175,8 @@ class TestTailSampling:
             __import__("json").dumps(doc)
         )
         assert loaded["traces"][0]["request_id"] == 3
-        assert loaded["device_events"][0]["kind"] == "busy"
+        [event] = loaded["device_events"]
+        assert (event["kind"], event["label"]) == ("busy", "compute0")
 
 
 class TestDeviceProfiler:
@@ -183,9 +187,31 @@ class TestDeviceProfiler:
             DeviceEvent(1, "wedged", 0.0, 1.0, "hang"),
         ]
 
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown device track kind"):
-            FlightRecorder().device_event(0, "sleeping", 0.0, 1.0)
+    def test_watched_timeline_paints_its_stream_ops(self):
+        fl = FlightRecorder()
+        timeline = DeviceTimeline()
+        assert timeline.observer is None
+        fl.watch(timeline, 3)
+        copy, compute = timeline.create_stream(), timeline.create_stream()
+        upload = timeline.stream_memcpy(copy, 4096)
+        timeline.stream_memcpy(copy, 0)  # zero-byte: orders, not painted
+        timeline.stream_launch(compute, 0.0)  # launch cost only
+        kernel = timeline.stream_launch(compute, 2e-3, wedged_s=5e-3)
+        events = list(fl.device_events)
+        assert [(e.device, e.kind, e.label, e.stream) for e in events] == [
+            (3, "transfer", "copy", copy.stream_id),
+            (3, "busy", kernel.track, compute.stream_id),
+            (3, "wedged", kernel.track, compute.stream_id),
+        ]
+        assert (events[0].start_s, events[0].end_s) == (
+            upload.start_s, upload.end_s,
+        )
+        # The wedge rides on the op: the track is held for kernel + hang,
+        # the busy interval ends where the wedge starts.
+        assert kernel.end_s == kernel.start_s + (2e-3 + 5e-3)
+        assert events[1].start_s == kernel.start_s
+        assert events[1].end_s == events[2].start_s == kernel.start_s + 2e-3
+        assert events[2].end_s == kernel.end_s
 
     def test_utilization_folds_tracks_and_idle(self):
         util = device_utilization(self._events())

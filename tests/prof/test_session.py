@@ -116,11 +116,22 @@ class TestInertness:
             32, 5, seed=5, device=Device(backend="native"),
             threads_per_block=16,
         )
+        runtime = boids.device.runtime
+        launches = []
+
+        def checked(kernel):
+            def call(*args):
+                kernel(*args)
+                launches.append(runtime.last_launch)
+            return call
+
+        boids._k_simulate = checked(boids._k_simulate)
+        boids._k_modify = checked(boids._k_modify)
         boids.step()
-        launches = boids.device.backend.launches
-        assert launches, "expected native launches"
+        assert len(launches) == 2, "expected one launch per kernel call"
+        assert all(r.vectorized for r in launches)
         assert all(
-            r.profile is None for r in launches if r.vectorized
+            r.profile is None for r in launches
         ), "replay profile must not be derived without a session"
 
     def test_native_replay_restores_memory_exactly(self):
