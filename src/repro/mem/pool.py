@@ -196,6 +196,16 @@ class MemoryPool:
         self._oom_retries_failed = 0
         self._allocs = 0
         self._frees = 0
+        # Metric handles, bound once: the occupancy gauges now, the
+        # hit/miss counters on their first event (so a pool that never
+        # misses publishes no miss series).
+        idx = device.index
+        self._gauges = (
+            obs.gauge("mem.bytes_in_use", device=idx),
+            obs.gauge("mem.bytes_reserved", device=idx),
+            obs.gauge("mem.fragmentation", device=idx),
+        )
+        self._hit_counter = self._miss_counter = None
         self._publish()
 
     # ------------------------------------------------------------------
@@ -226,10 +236,10 @@ class MemoryPool:
         return 1.0 - mem.largest_free_bytes / free
 
     def _publish(self) -> None:
-        idx = self.device.index
-        obs.gauge("mem.bytes_in_use", device=idx).set(self._in_use)
-        obs.gauge("mem.bytes_reserved", device=idx).set(self._reserved)
-        obs.gauge("mem.fragmentation", device=idx).set(self._fragmentation())
+        in_use, reserved, fragmentation = self._gauges
+        in_use.set(self._in_use)
+        reserved.set(self._reserved)
+        fragmentation.set(self._fragmentation())
 
     def _record(self, cause: str, nbytes: int) -> None:
         obs.record_transfer(
@@ -383,12 +393,20 @@ class MemoryPool:
 
     def _note_hit(self, size: int) -> None:
         self._hits += 1
-        obs.counter("mem.pool.hits", device=self.device.index).inc()
+        if self._hit_counter is None:
+            self._hit_counter = obs.counter(
+                "mem.pool.hits", device=self.device.index
+            )
+        self._hit_counter.inc()
         self._record("pool-hit", size)
 
     def _note_miss(self, size: int) -> None:
         self._misses += 1
-        obs.counter("mem.pool.misses", device=self.device.index).inc()
+        if self._miss_counter is None:
+            self._miss_counter = obs.counter(
+                "mem.pool.misses", device=self.device.index
+            )
+        self._miss_counter.inc()
         self._record("pool-miss", size)
 
     # ------------------------------------------------------------------

@@ -29,6 +29,11 @@ primitive — a propagated per-request **trace context** on the service's
   a deterministic 1-in-N head sample.  Retention is capped
   (``max_retained``), evicting head samples before interesting traces,
   oldest first — memory stays bounded no matter how long the run.
+  A trace the request-latency histogram holds as an exemplar is
+  *pinned* (:meth:`FlightRecorder.hold_exemplar`): it is retained
+  whatever its verdict, in a reserved slice of the cap that no other
+  trace evicts, until the histogram displaces that exemplar — so a
+  percentile's exemplars always resolve to a retained trace.
 * The **per-device timeline profiler** subscribes to each device's
   :class:`~repro.simgpu.transfer.DeviceTimeline` (:meth:`FlightRecorder
   .watch`): every ``StreamOp`` the timeline schedules becomes a device
@@ -71,6 +76,10 @@ INTERESTING_FLAGS = ("fault", "failover", "failed", "deadline-miss", "slow")
 #: retention pressure these evict last, so an incident's fault traces
 #: outlive a flood of merely-slow ones.
 CRITICAL_FLAGS = ("fault", "failover", "failed")
+
+#: The share of ``max_retained`` reserved for traces pinned as
+#: latency exemplars: at most ``max_retained // PIN_SHARE`` pins.
+PIN_SHARE = 4
 
 #: Device-track event kinds, in paint priority (later wins in the gantt).
 DEVICE_TRACK_KINDS = ("busy", "transfer", "wedged")
@@ -227,7 +236,9 @@ class FlightRecorder:
         Hard cap on retained traces.  Eviction is severity-tiered,
         oldest first within a tier: head samples go first, then
         merely-interesting traces (``slow``/``deadline-miss``), then
-        critical ones (:data:`CRITICAL_FLAGS`).
+        critical ones (:data:`CRITICAL_FLAGS`).  Traces pinned as
+        latency exemplars (up to ``max_retained // PIN_SHARE`` of them)
+        are never evicted while pinned.
     max_batch_spans / max_device_events:
         Caps on the fused-launch span ring and the device-event ring.
     """
@@ -260,6 +271,11 @@ class FlightRecorder:
         self._crit: "dict[str, TraceRecord]" = {}
         self._warm: "dict[str, TraceRecord]" = {}
         self._head: "dict[str, TraceRecord]" = {}
+        #: Traces retained only because they are pinned exemplars.
+        self._exemplar: "dict[str, TraceRecord]" = {}
+        #: Pinned trace id -> its exemplar value, oldest pin first.
+        self._pinned: "dict[str, float]" = {}
+        self.max_pinned = max_retained // PIN_SHARE
         #: Fused-launch spans (cross-trace link targets), bounded ring.
         self._batches: "dict[int, FlightSpan]" = {}
         self.device_events: "deque[DeviceEvent]" = deque(maxlen=max_device_events)
@@ -367,6 +383,36 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # the tail-sampling verdict
     # ------------------------------------------------------------------
+    def hold_exemplar(
+        self,
+        trace_id: str,
+        value: float,
+        displaced: "tuple[float, str] | None" = None,
+    ) -> None:
+        """Follow the latency histogram's exemplar slots: it now holds
+        ``(value, trace_id)`` and gave up ``displaced`` (what
+        :meth:`~repro.obs.metrics.Histogram.observe` returned).
+
+        Call before :meth:`finish` seals ``trace_id``.  The new
+        exemplar's trace is pinned; the displaced one's pin is released,
+        and its trace dropped unless its own verdict keeps it.  Past
+        :attr:`max_pinned` pins the lowest exemplar (oldest on ties) is
+        released: the tail's exemplars are the ones worth a trace.
+        """
+        if displaced is not None:
+            old_value, old_id = displaced
+            if self._pinned.get(old_id) == old_value:
+                self._release(old_id)
+        if self.max_pinned:
+            self._pinned[trace_id] = value
+            if len(self._pinned) > self.max_pinned:
+                self._release(min(self._pinned, key=self._pinned.__getitem__))
+
+    def _release(self, trace_id: str) -> None:
+        del self._pinned[trace_id]
+        if self._exemplar.pop(trace_id, None) is not None:
+            self.dropped += 1
+
     def finish(self, ctx: TraceContext, end_s: float) -> bool:
         """Seal ``ctx``'s trace and decide retention; True when kept.
 
@@ -389,11 +435,14 @@ class FlightRecorder:
             self.head_sample_every > 0
             and ctx.seq % self.head_sample_every == 0
         )
-        if not interesting and not head:
+        pinned = ctx.trace_id in self._pinned
+        if not interesting and not head and not pinned:
             self.dropped += 1
             return False
         if head and not interesting:
             ctx.flags.add("head")
+        elif pinned and not interesting:
+            ctx.flags.add("exemplar")
         request_id = None
         if ctx.root is not None:
             request_id = ctx.root.attrs.get("request")
@@ -404,16 +453,27 @@ class FlightRecorder:
             spans=spans,
             finished_s=end_s,
         )
-        if not interesting:
+        if head and not interesting:
             pool = self._head
+        elif not interesting:
+            pool = self._exemplar
         elif any(flag in ctx.flags for flag in CRITICAL_FLAGS):
             pool = self._crit
         else:
             pool = self._warm
         pool[ctx.trace_id] = record
         while self.retained_count > self.max_retained:
-            victim_pool = self._head or self._warm or self._crit
-            victim_pool.pop(next(iter(victim_pool)))
+            # Pins fit in a slice of the cap, so an unpinned victim
+            # always exists.
+            for victim_pool in (self._head, self._warm, self._crit):
+                victim = next(
+                    (t for t in victim_pool if t not in self._pinned), None
+                )
+                if victim is not None:
+                    del victim_pool[victim]
+                    break
+            else:
+                break
             self.evicted += 1
         return True
 
@@ -423,7 +483,7 @@ class FlightRecorder:
     @property
     def retained_count(self) -> int:
         """Retained traces currently held (always <= ``max_retained``)."""
-        return len(self._crit) + len(self._warm) + len(self._head)
+        return sum(len(pool) for pool in self._pools)
 
     @property
     def open_count(self) -> int:
@@ -432,15 +492,19 @@ class FlightRecorder:
 
     def trace(self, trace_id: str) -> "TraceRecord | None":
         """A retained trace by id (``None`` when dropped or unknown)."""
-        return (
-            self._crit.get(trace_id)
-            or self._warm.get(trace_id)
-            or self._head.get(trace_id)
-        )
+        for pool in self._pools:
+            record = pool.get(trace_id)
+            if record is not None:
+                return record
+        return None
+
+    @property
+    def _pools(self) -> "tuple[dict[str, TraceRecord], ...]":
+        return (self._crit, self._warm, self._head, self._exemplar)
 
     def trace_for_request(self, request_id: int) -> "TraceRecord | None":
         """The retained trace whose root carries ``request_id``."""
-        for pool in (self._crit, self._warm, self._head):
+        for pool in self._pools:
             for record in pool.values():
                 if record.request_id == request_id:
                     return record
@@ -449,11 +513,7 @@ class FlightRecorder:
     def retained(self, flag: "str | None" = None) -> "list[TraceRecord]":
         """Retained traces (optionally only those carrying ``flag``),
         oldest first."""
-        records = (
-            list(self._crit.values())
-            + list(self._warm.values())
-            + list(self._head.values())
-        )
+        records = [r for pool in self._pools for r in pool.values()]
         records.sort(key=lambda r: r.trace_id)
         if flag is None:
             return records
@@ -480,6 +540,9 @@ class FlightRecorder:
             "retained_interesting": len(self._crit) + len(self._warm),
             "retained_critical": len(self._crit),
             "retained_head": len(self._head),
+            "retained_pinned": sum(
+                1 for t in self._pinned if self.trace(t) is not None
+            ),
             "dropped": self.dropped,
             "evicted": self.evicted,
             "open": self.open_count,

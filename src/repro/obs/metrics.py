@@ -88,8 +88,17 @@ class Histogram:
         # stay four-slot cheap.
         self.exemplars: "dict[int, list] | None" = None
 
-    def observe(self, value: float, trace_id: "str | None" = None) -> None:
-        """Record one sample, optionally tagged with a trace exemplar."""
+    def observe(
+        self, value: float, trace_id: "str | None" = None
+    ) -> "tuple[float, str] | None":
+        """Record one sample, optionally tagged with a trace exemplar.
+
+        A tagged sample always takes an exemplar slot in its bucket;
+        the return value is the ``(value, trace_id)`` exemplar it
+        displaced (``None`` when a slot was free or the sample is
+        untagged), so a trace store can keep exactly the traces the
+        histogram still points at.
+        """
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
@@ -109,11 +118,15 @@ class Histogram:
             entry = (value, trace_id)
             if len(slots) < self.EXEMPLARS_PER_BUCKET:
                 slots.append(entry)
-            else:
-                # Deterministic rotating overwrite (no RNG: runs must be
-                # bit-identical per seed) — keeps the reservoir fresh so
-                # late spikes displace stale exemplars.
-                slots[(self.buckets[b] - 1) % self.EXEMPLARS_PER_BUCKET] = entry
+                return None
+            # Deterministic rotating overwrite (no RNG: runs must be
+            # bit-identical per seed) — keeps the reservoir fresh so
+            # late spikes displace stale exemplars.
+            slot = (self.buckets[b] - 1) % self.EXEMPLARS_PER_BUCKET
+            displaced = slots[slot]
+            slots[slot] = entry
+            return displaced
+        return None
 
     @property
     def mean(self) -> float:

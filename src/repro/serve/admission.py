@@ -53,14 +53,23 @@ class AdmissionController:
         self.blocked: "deque[StepRequest]" = deque()
         self._depth = obs.queue_depth_gauge("serve")
         self._depth_samples = obs.histogram("repro.serve.queue_depth.samples")
+        #: Outcome name -> its two counter handles, bound on first use
+        #: (so only outcomes that happen get a series).
+        self._outcome_counters: "dict[str, tuple]" = {}
         #: Optional ``listener(request, outcome, now)`` the service
         #: installs to feed the live SLO monitor terminal outcomes.
         self.outcome_listener = None
 
     # ------------------------------------------------------------------
     def _outcome(self, request: StepRequest, name: str, now: float) -> None:
-        obs.counter("repro.serve.requests", outcome=name).inc()
-        obs.request_outcome_counter("serve", name).inc()
+        counters = self._outcome_counters.get(name)
+        if counters is None:
+            counters = self._outcome_counters[name] = (
+                obs.counter("repro.serve.requests", outcome=name),
+                obs.request_outcome_counter("serve", name),
+            )
+        for counter in counters:
+            counter.inc()
         if self.outcome_listener is not None:
             self.outcome_listener(request, name, now)
 

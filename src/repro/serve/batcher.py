@@ -59,7 +59,17 @@ class DynamicBatcher:
         self.max_batch = max_batch if enabled else 1
         self.window_s = window_s if enabled else 0.0
         self._sizes = obs.batch_size_histogram("serve")
+        self._batches = None
         self._next_id = 0
+        #: The eligible heads the last :meth:`ready_time` scan found (the
+        #: first queued request per session, not busy, placeable), in
+        #: queue order; :meth:`admit_tail` extends them without a rescan.
+        self.heads: "list[StepRequest]" = []
+        self._head_sessions: "set[str]" = set()
+        #: Heads with ``attempts > 0`` (retries ride the next launch).
+        self._retry_heads = 0
+        self._busy: "set[str]" = set()
+        self._placeable = None
 
     # ------------------------------------------------------------------
     def _eligible(
@@ -91,18 +101,50 @@ class DynamicBatcher:
         session already has a step in flight).  Otherwise ``now`` if the
         size trigger is met, else the oldest eligible admission plus the
         window.
+
+        The scan's eligible requests are kept as :attr:`heads`, so later
+        questions about the same queue (:meth:`ready_at`) and tail
+        admissions (:meth:`admit_tail`) need no second scan.
         """
-        eligible = self._eligible(queue, busy, placeable)
-        if not eligible:
+        self.heads = self._eligible(queue, busy, placeable)
+        self._head_sessions = {r.session_id for r in self.heads}
+        self._retry_heads = sum(1 for r in self.heads if r.attempts)
+        self._busy = busy
+        self._placeable = placeable
+        return self.ready_at(now)
+
+    def ready_at(self, now: float) -> "float | None":
+        """The window/size rule over the held :attr:`heads` at ``now``.
+
+        The window and batch size are read here, at query time, so a
+        window change (SLO degradation) takes effect without a rescan.
+        """
+        heads = self.heads
+        if not heads:
             return None
-        if len(eligible) >= self.max_batch:
+        if len(heads) >= self.max_batch:
             return now
         # A retried request already paid its window (and a fault) on an
         # earlier attempt — it rides the next launch immediately rather
         # than aging a second time.
-        if any(r.attempts for r in eligible):
+        if self._retry_heads:
             return now
-        return max(now, eligible[0].admit_s + self.window_s)
+        return max(now, heads[0].admit_s + self.window_s)
+
+    def admit_tail(self, request: StepRequest) -> None:
+        """Fold one request just appended to the scanned queue's tail
+        into :attr:`heads` in O(1), with the last scan's busy set and
+        placement predicate.  Any other queue mutation needs a fresh
+        :meth:`ready_time` scan instead."""
+        sid = request.session_id
+        if sid in self._busy or sid in self._head_sessions:
+            return
+        if self._placeable is not None and not self._placeable(request):
+            return
+        self._head_sessions.add(sid)
+        self.heads.append(request)
+        if request.attempts:
+            self._retry_heads += 1
 
     def take(
         self, queue, busy: "set[str]", now: float, placeable=None
@@ -120,7 +162,9 @@ class DynamicBatcher:
         batch = Batch(self._next_id, picked, formed_s=now)
         self._next_id += 1
         self._sizes.observe(len(picked))
-        obs.counter("repro.serve.batches").inc()
+        if self._batches is None:
+            self._batches = obs.counter("repro.serve.batches")
+        self._batches.inc()
         return batch
 
     @staticmethod

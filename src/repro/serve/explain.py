@@ -72,16 +72,16 @@ def waterfall(source, ident: "str | int") -> dict:
     (the property the chaos tests assert).
 
     Raises ``KeyError`` when the id names no retained trace (it may
-    have been tail-sampled away — only interesting and head-sampled
-    traces survive).
+    have been tail-sampled away — only interesting, head-sampled and
+    exemplar-pinned traces survive).
     """
     doc = _as_document(source)
     trace = _find_trace(doc, ident)
     if trace is None:
         raise KeyError(
             f"no retained trace for {ident!r} — the request may have been "
-            "dropped by tail sampling (only interesting or head-sampled "
-            "traces are kept)"
+            "dropped by tail sampling (only interesting, head-sampled or "
+            "exemplar-pinned traces are kept)"
         )
     batch_spans = {
         span["span_id"]: span for span in doc.get("batch_spans", [])

@@ -182,6 +182,7 @@ class DeviceScheduler:
         #: service when chaos is configured); consulted once per
         #: sub-batch launch and once per result fetch.
         self.injector = None
+        self._launches = None
 
     # ------------------------------------------------------------------
     @property
@@ -496,7 +497,9 @@ class DeviceScheduler:
         for _ in range(LAUNCHES_PER_BATCH - 1):
             tl.stream_launch(compute, 0.0)  # launch cost only
         op = tl.stream_launch(compute, kernel_s, wedged_s=hang_s)
-        obs.counter("repro.serve.launches").inc(LAUNCHES_PER_BATCH)
+        if self._launches is None:
+            self._launches = obs.counter("repro.serve.launches")
+        self._launches.inc(LAUNCHES_PER_BATCH)
         self.inflight_count[sub.device_index] += 1
         sub.completion_s = op.end_s
         sub.expected_completion_s = op.end_s - hang_s

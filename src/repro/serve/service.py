@@ -10,12 +10,30 @@ driver (the load generator, a test, the demo) injects arrivals with
 :meth:`advance`/:meth:`drain`.  Identical inputs give identical
 latencies, byte counts, and launch totals, run to run.
 
-Two event types exist:
+The next event comes from an *agenda* the service keeps instead of
+re-polling every candidate time before each arrival.  It has two halves:
 
-* **launch-ready** — the batcher's window/size rule says a batch should
-  form *and* a device is free to take it;
-* **sub-batch completion** — a device's kernels finish; its results are
-  fetched, demultiplexed, and the sessions become schedulable again.
+* the **device-side times** — every in-flight sub-batch's completion
+  (or its watchdog deadline, if earlier), every zombie's late
+  completion, the earliest parked retry's wake, and the next health
+  probe.  At most devices × pipeline depth sub-batches are in flight,
+  so a plain minimum over them serves; it is rebuilt once at the end of
+  every event, the only place any of these times change;
+* the **launch-ready time** — the batcher's window/size rule over its
+  eligible queue heads (:attr:`DynamicBatcher.heads`).  The heads are
+  found in one queue scan by :meth:`DynamicBatcher.ready_time`, which
+  every launch attempt of an event repeats with a fresh free-device
+  set, so the last scan of an event *is* the agenda's.  Between events
+  only arrivals touch the queue: a plain tail admission extends the
+  heads in O(1) (:meth:`DynamicBatcher.admit_tail`), while a shed (or
+  any other mutation that is not a tail append) rescans.  The rule
+  itself is read at query time, so the clock and an SLO-degraded
+  window need no rebuild.
+
+An event then runs its phases in a fixed order: mature retries, probe
+evicted devices, complete finished sub-batches, time out hung ones,
+reap zombies, expire queued deadlines, launch every batch the rule and
+the free devices allow, and evaluate the SLO monitor.
 
 The host is one thread, as in the paper: dispatch work (batch assembly,
 launches, memcpys) serializes on the global clock, while kernels run
@@ -51,6 +69,23 @@ from repro.steer.params import BoidsParams, DEFAULT_PARAMS
 #: Tolerance when comparing virtual timestamps (they are sums of many
 #: small floats; exact equality would drop simultaneous events).
 _EPS = 1e-12
+
+
+def _placeable(store: SessionStore, free_set: "set[int]"):
+    """Device-affinity predicate for the batcher: cold sessions can go
+    anywhere free; warm sessions need their resident device.
+
+    It closes over the session store and the free-device set only —
+    never the service — because the batcher keeps it between events,
+    and a service reachable from its own batcher would live on in a
+    reference cycle until the cyclic collector ran.
+    """
+
+    def ok(request: StepRequest) -> bool:
+        session = store.get(request.session_id)
+        return session.resident_on is None or session.resident_on in free_set
+
+    return ok
 
 
 @dataclass
@@ -190,6 +225,7 @@ class SimulationService:
         self._busy_sessions: "set[str]" = set()
         self._next_request_id = 0
         self._latency_us = obs.request_latency_histogram("serve")
+        self._done = None  # the done-outcome counter, bound on first use
         #: Optional live SLO monitor (see :meth:`attach_monitor`).
         self.monitor = None
         #: Optional flight recorder (see :meth:`attach_flight`).  None
@@ -216,6 +252,13 @@ class SimulationService:
         #: by their device timeline; reaped without touching sessions.
         self._zombies: "list[SubBatch]" = []
         self._next_probe_s: "float | None" = None
+        #: The agenda (see the module docstring): the earliest
+        #: device-side time, and the free devices and placement
+        #: predicate of the last batcher scan.
+        self._device_due_s: "float | None" = None
+        self._free = self.scheduler.free_devices()
+        self._fits = None
+        self._scan_queue()
 
     # ------------------------------------------------------------------
     # client API
@@ -401,7 +444,15 @@ class SimulationService:
                 request=request.request_id,
                 session=session_id,
             )
-        self.admission.submit(request, self.now)
+        queue = self.admission.queue
+        depth = len(queue)
+        status = self.admission.submit(request, self.now)
+        if self._free:
+            if len(queue) > depth:
+                self.batcher.admit_tail(request)
+            elif status is RequestStatus.QUEUED:
+                # Shed-oldest evicted the queue's head to make room.
+                self._scan_queue()
         if self.monitor is not None:
             self.monitor.observe(
                 "repro.queue.depth",
@@ -415,40 +466,38 @@ class SimulationService:
     # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
-    def _placeable(self, free_set: "set[int]"):
-        """Device-affinity predicate for the batcher: cold sessions can
-        go anywhere free; warm sessions need their resident device."""
+    def _scan_queue(self) -> "float | None":
+        """Rebuild the agenda's launch-ready half: one batcher scan of
+        the queue against the held free-device set."""
+        if not self._free:
+            return None
+        self._fits = _placeable(self.store, set(self._free))
+        return self.batcher.ready_time(
+            self.admission.queue, self._busy_sessions, self.now, self._fits
+        )
 
-        def ok(request: StepRequest) -> bool:
-            session = self.store.get(request.session_id)
-            return session.resident_on is None or session.resident_on in free_set
-
-        return ok
+    def _plan_device_times(self) -> None:
+        """Rebuild the agenda's device-side half (end of every event)."""
+        times = [
+            sub.completion_s
+            if sub.timeout_s is None
+            else min(sub.completion_s, sub.timeout_s)
+            for sub in self._in_flight
+        ]
+        times.extend(sub.completion_s for sub in self._zombies)
+        times.extend(wake for wake, _, _ in self._retry_parked)
+        if self.scheduler.unhealthy and self._next_probe_s is not None:
+            times.append(self._next_probe_s)
+        self._device_due_s = min(times, default=None)
 
     def _next_event_time(self) -> "float | None":
         """Earliest pending event, or ``None`` when the service is idle."""
-        times = []
-        for sub in self._in_flight:
-            t = sub.completion_s
-            if sub.timeout_s is not None:
-                t = min(t, sub.timeout_s)
-            times.append(t)
-        times.extend(sub.completion_s for sub in self._zombies)
-        if self._retry_parked:
-            times.append(min(wake for wake, _, _ in self._retry_parked))
-        if self.scheduler.unhealthy and self._next_probe_s is not None:
-            times.append(self._next_probe_s)
-        free = self.scheduler.free_devices()
-        if free:
-            ready = self.batcher.ready_time(
-                self.admission.queue,
-                self._busy_sessions,
-                self.now,
-                placeable=self._placeable(set(free)),
-            )
-            if ready is not None:
-                times.append(ready)
-        return min(times) if times else None
+        due = self._device_due_s
+        if self._free:
+            ready = self.batcher.ready_at(self.now)
+            if ready is not None and (due is None or ready < due):
+                return ready
+        return due
 
     def advance(self, until: float) -> None:
         """Process every event up to virtual time ``until``."""
@@ -470,6 +519,7 @@ class SimulationService:
                     # to free it — expire what has deadlines, drop ties.
                     self.admission.drop_expired(float("inf"))
                     self.admission.on_slots_freed(self.now)
+                    self._scan_queue()
                     if self._next_event_time() is None:
                         break
                     continue
@@ -499,6 +549,7 @@ class SimulationService:
             self._reap_zombie(sub)
         self.admission.drop_expired(self.now)
         self._launch_ready()
+        self._plan_device_times()
         self._evaluate_monitor()
 
     # ------------------------------------------------------------------
@@ -687,17 +738,14 @@ class SimulationService:
     def _launch_ready(self) -> None:
         """Form and launch batches as long as the rule and devices allow."""
         while True:
-            free = self.scheduler.free_devices()
-            if not free:
-                return
-            placeable = self._placeable(set(free))
-            ready = self.batcher.ready_time(
-                self.admission.queue, self._busy_sessions, self.now, placeable
-            )
+            # Every attempt rescans with a fresh free-device set; the
+            # last scan (the one that finds nothing due) is the agenda's.
+            free = self._free = self.scheduler.free_devices()
+            ready = self._scan_queue()
             if ready is None or ready > self.now + _EPS:
                 return
             batch = self.batcher.take(
-                self.admission.queue, self._busy_sessions, self.now, placeable
+                self.admission.queue, self._busy_sessions, self.now, self._fits
             )
             self.admission.remove(batch.requests)
             self.admission.on_slots_freed(self.now)
@@ -857,10 +905,14 @@ class SimulationService:
             request.finish_s = self.now
             self.stats.completed += 1
             latency_us = max(1, int(request.latency_s * 1e6))
-            trace_id = None
             ctx = request.ctx
-            if fl is not None and ctx is not None:
-                trace_id = ctx.trace_id
+            trace_id = None if fl is None or ctx is None else ctx.trace_id
+            displaced = self._latency_us.observe(latency_us, trace_id)
+            if trace_id is not None:
+                # The histogram's exemplar slots decide which finished
+                # traces stay pinned; pin before the tail sampler's
+                # verdict so an exemplar is never dropped.
+                fl.hold_exemplar(trace_id, latency_us, displaced)
                 if ctx.attempt is not None and ctx.attempt.end_s is None:
                     fl.end(ctx.attempt, self.now, outcome="done")
                 if ctx.root is not None and ctx.root.end_s is None:
@@ -869,8 +921,9 @@ class SimulationService:
                         outcome="done", latency_us=latency_us,
                     )
                 fl.finish(ctx, self.now)
-            self._latency_us.observe(latency_us, trace_id)
-            obs.request_outcome_counter("serve", "done").inc()
+            if self._done is None:
+                self._done = obs.request_outcome_counter("serve", "done")
+            self._done.inc()
             if self.monitor is not None:
                 self.monitor.observe(
                     "repro.request.latency", self.now, latency_us, trace_id

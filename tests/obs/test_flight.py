@@ -179,6 +179,78 @@ class TestTailSampling:
         assert (event["kind"], event["label"]) == ("busy", "compute0")
 
 
+class TestExemplarPins:
+    """The latency histogram's exemplar slots and the tail sampler make
+    one decision: a trace the histogram holds is pinned until displaced."""
+
+    @staticmethod
+    def _complete(fl, hist, value, flags=()):
+        ctx = fl.mint()
+        ctx.root = fl.start(ctx, "request", 0.0, request=ctx.seq)
+        fl.end(ctx.root, 0.0)
+        ctx.flags.update(flags)
+        fl.hold_exemplar(ctx.trace_id, value, hist.observe(value, ctx.trace_id))
+        fl.finish(ctx, 0.0)
+        return ctx.trace_id
+
+    def test_observe_returns_the_displaced_exemplar(self):
+        h = Histogram()
+        assert h.observe(100.0) is None
+        for i in range(Histogram.EXEMPLARS_PER_BUCKET):
+            assert h.observe(3.0, f"t{i}") is None
+        assert h.observe(3.5, "late") == (3.0, "t0")
+
+    def test_critical_floods_never_evict_a_pinned_exemplar(self):
+        fl = FlightRecorder(head_sample_every=0, max_retained=8)
+        hist = Histogram()
+        slow = self._complete(fl, hist, 5000.0)
+        for _ in range(40):
+            self._complete(fl, hist, 100.0, flags=("fault",))
+        assert fl.retained_count == 8
+        record = fl.trace(slow)
+        assert record is not None and "exemplar" in record.flags
+        assert [t for _, t in hist.exemplars_for(100)] == [slow]
+        assert fl.stats()["retained_pinned"] >= 1
+
+    def test_displacement_releases_the_pin(self):
+        fl = FlightRecorder(head_sample_every=0, max_retained=64)
+        hist = Histogram()
+        first = [self._complete(fl, hist, 3.0) for _ in range(4)]
+        assert all(fl.trace(t) is not None for t in first)
+        later = [self._complete(fl, hist, 3.0) for _ in range(4)]
+        # The slots rotated: the first four lost their pins and, being
+        # uninteresting, their traces; the holders are retained.
+        assert all(fl.trace(t) is None for t in first)
+        assert all(fl.trace(t) is not None for t in later)
+        assert fl.stats()["dropped"] == 4
+
+    def test_a_released_interesting_trace_stays_by_its_own_verdict(self):
+        fl = FlightRecorder(head_sample_every=0, max_retained=64)
+        hist = Histogram()
+        faulted = self._complete(fl, hist, 3.0, flags=("fault",))
+        for _ in range(4):
+            self._complete(fl, hist, 3.0)
+        assert fl.trace(faulted) is not None
+        assert "exemplar" not in fl.trace(faulted).flags
+
+    def test_pins_fit_their_slice_and_keep_the_tail(self):
+        fl = FlightRecorder(head_sample_every=0, max_retained=8)
+        assert fl.max_pinned == 2
+        hist = Histogram()
+        tail = self._complete(fl, hist, 9000.0)
+        for value in (1.0, 5.0, 40.0, 300.0):
+            self._complete(fl, hist, value)
+        # Past two pins the lowest exemplar is released first.
+        assert fl.stats()["retained_pinned"] == 2
+        assert fl.trace(tail) is not None
+
+    def test_no_slice_without_room(self):
+        fl = FlightRecorder(head_sample_every=0, max_retained=3)
+        assert fl.max_pinned == 0
+        hist = Histogram()
+        assert fl.trace(self._complete(fl, hist, 9000.0)) is None
+
+
 class TestDeviceProfiler:
     def _events(self):
         return [

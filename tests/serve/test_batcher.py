@@ -87,3 +87,47 @@ class TestTake:
         q.popleft()
         second = b.take(q, set(), 0.0)
         assert second.batch_id == first.batch_id + 1
+
+
+class TestHeads:
+    """The scan's eligible heads, and tail admissions folded into them."""
+
+    def test_ready_at_repeats_the_scan_verdict(self):
+        b = DynamicBatcher(max_batch=4, window_s=2e-3)
+        q = deque([queued("a", 1.0), queued("a", 1.1), queued("b", 1.2)])
+        assert b.ready_time(q, set(), 1.0) == pytest.approx(1.002)
+        assert [r.session_id for r in b.heads] == ["a", "b"]
+        assert b.ready_at(1.001) == pytest.approx(1.002)
+        assert b.ready_at(1.7) == 1.7
+
+    def test_admit_tail_matches_a_rescan(self):
+        b = DynamicBatcher(max_batch=8, window_s=1e-3)
+        q = deque([queued("a"), queued("busy")])
+        b.ready_time(q, {"busy"}, 0.0, placeable=lambda r: r.session_id != "far")
+        for sid in ("a", "b", "busy", "far", "c"):
+            r = queued(sid, 0.5)
+            q.append(r)
+            b.admit_tail(r)
+        held = list(b.heads)
+        b.ready_time(q, {"busy"}, 0.0, placeable=lambda r: r.session_id != "far")
+        assert held == b.heads
+        assert [r.session_id for r in held] == ["a", "b", "c"]
+
+    def test_tail_size_trigger_and_retry_fire_now(self):
+        b = DynamicBatcher(max_batch=2, window_s=1.0)
+        q = deque([queued("a")])
+        assert b.ready_time(q, set(), 0.0) == pytest.approx(1.0)
+        retry = queued("b", 0.1)
+        retry.attempts = 1
+        b.admit_tail(retry)
+        assert b.ready_at(0.1) == 0.1
+        b = DynamicBatcher(max_batch=2, window_s=1.0)
+        b.ready_time(deque([queued("a")]), set(), 0.0)
+        b.admit_tail(queued("b", 0.1))
+        assert b.ready_at(0.1) == 0.1
+
+    def test_window_is_read_at_query_time(self):
+        b = DynamicBatcher(max_batch=8, window_s=2e-3)
+        b.ready_time(deque([queued("a", 1.0)]), set(), 1.0)
+        b.window_s = 0.5e-3
+        assert b.ready_at(1.0) == pytest.approx(1.0005)

@@ -136,6 +136,38 @@ class TestFaultedWaterfall:
         assert record.spans[0].attrs["where"] == "submit"
 
 
+class TestExemplarRetention:
+    def test_p99_exemplars_survive_a_critical_flood(self):
+        """The CI explain smoke's failure, scaled down: a chaos run
+        whose fault/failover traces alone overflow the retention cap
+        must still keep every p99 latency exemplar's trace."""
+        from repro.serve.loadgen import run_load
+
+        flight = FlightRecorder(slow_threshold_s=2e-3, max_retained=32)
+        report = run_load(
+            clients=16,
+            duration_s=0.3,
+            rate_rps=16000.0,
+            seed=7,
+            config=ServeConfig(
+                physics=False,
+                faults=FaultConfig.chaos(seed=7, device_fault_rate=0.05),
+            ),
+            flight=flight,
+        )
+        critical = sum(
+            1 for r in flight.retained() if r.flags & {"fault", "failover", "failed"}
+        ) + flight.evicted
+        assert critical > flight.max_retained, "no cap pressure to test"
+        summary = report.flight
+        assert summary["retained"] <= summary["cap"]
+        exemplars = summary["p99_exemplars"]
+        assert exemplars
+        assert all(e["retained"] for e in exemplars), exemplars
+        for e in exemplars:
+            explain.waterfall(flight, e["trace_id"])
+
+
 class TestExplainCli:
     def _chaos_file(self, tmp_path):
         service = flight_service({"launch": ["hang"]})
